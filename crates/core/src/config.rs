@@ -171,7 +171,9 @@ pub struct TrainConfig {
     /// `streams` overlap exploits on the simulated device). Affects
     /// host wall-clock only: device charges are issued serially in
     /// node-index order either way, so the simulated timeline and the
-    /// grown tree are bit-identical at any thread count.
+    /// grown tree are bit-identical at any thread count. Single device
+    /// only: multi-GPU placements build one node at a time, holding
+    /// host memory to one histogram.
     pub parallel_level_hist: bool,
     /// Gradient sketching for tree-structure search: grow each tree on
     /// an `n × k` sketch of the gradients while leaf values stay
@@ -320,6 +322,11 @@ impl TrainConfig {
         if self.sketch.k() == Some(0) {
             return Err("sketch dimension k must be ≥ 1".into());
         }
+        if !self.sketch.is_none() && self.monotone_constraints.iter().any(|&c| c != 0) {
+            // The full-d leaf refit recomputes every leaf value without
+            // the bounds the sketched structure search enforced.
+            return Err("monotone constraints cannot be combined with a gradient sketch".into());
+        }
         Ok(())
     }
 
@@ -417,6 +424,14 @@ mod tests {
             assert!(ok.validate().is_ok());
             let bad = TrainConfig::default().with_sketch(mk(0));
             assert!(bad.validate().is_err(), "k = 0 must be rejected");
+            let mut constrained = ok.clone();
+            constrained.monotone_constraints = vec![0, 1];
+            assert!(
+                constrained.validate().is_err(),
+                "the leaf refit would drop the monotone bounds"
+            );
+            constrained.monotone_constraints = vec![0, 0];
+            assert!(constrained.validate().is_ok());
         }
         assert_eq!(OutputSketch::TopOutputs(4).label(), "top4");
         assert_eq!(OutputSketch::RandomSampling(8).label(), "rand8");

@@ -24,97 +24,28 @@
 //! Histogram buffers come from a [`HistogramPool`] reused across
 //! levels and trees; on the subtraction path the parent's buffer stays
 //! alive (owned by the level loop) until both children have resolved.
+//!
+//! This is the only grower: one device and every multi-GPU layout run
+//! it. Which device charges each build, split search and partition —
+//! and how a level's results are exchanged across devices — is the
+//! [`crate::multigpu`] placement's decision; the functional work above
+//! runs once on the lead device regardless.
 
 use crate::config::{HistogramMethod, TrainConfig};
 use crate::grad::Gradients;
-use crate::hist::{
-    accumulate_only, charge_method, charge_method_on, resolve_method, HistContext, NodeHistogram,
-};
+use crate::hist::{accumulate_only, HistContext, NodeHistogram};
 use crate::memory::HistogramPool;
-use crate::split::{
-    find_best_split_constrained, leaf_values, ConstraintState, LevelSplitCharges, SplitParams,
-};
+use crate::multigpu::Placement;
+use crate::split::{leaf_values, ConstraintState, SplitParams};
 use crate::tree::Tree;
 use gbdt_data::BinnedDataset;
-use gpusim::cost::KernelCost;
-use gpusim::{Device, Event, Phase};
+use gpusim::Device;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
-/// Charging policy for one level's per-node fresh-histogram kernels.
-///
-/// At `streams = 1` every charge goes to the default stream, which
-/// reproduces the serial clock bit for bit. With more streams, each
-/// fresh build issues on the currently least-loaded worker stream
-/// (`1..=streams`): a level's node histograms are mutually independent,
-/// so sibling builds overlap on the simulated timeline up to the
-/// device's occupancy-derived concurrency cap. Every worker stream is
-/// fenced to the level-start clock of the default stream before its
-/// first charge, and [`HistCharges::flush`] joins the default stream to
-/// every used worker's completion fence — so split evaluation and the
-/// partition kernel (default stream) start only after the last build.
-///
-/// Charges still *issue* in node-index order regardless of stream
-/// count: the ledger's record list, the fault injector's charge-index
-/// semantics, and the profiler's aggregates are identical to the serial
-/// schedule. Only start timestamps and the makespan move.
-struct HistCharges {
-    streams: usize,
-    /// Default-stream clock at level start (before this level's derive
-    /// subtractions), which is what fresh builds actually depend on.
-    fence: Event,
-    /// Worker streams fenced (and charged) since construction.
-    used: Vec<bool>,
-}
-
-impl HistCharges {
-    fn new(device: &Device, streams: usize) -> Self {
-        let streams = streams.max(1);
-        HistCharges {
-            streams,
-            fence: device.record_event(0),
-            used: vec![false; streams + 1],
-        }
-    }
-
-    fn charge(&mut self, ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) {
-        if self.streams == 1 {
-            charge_method(ctx, idx, method);
-            return;
-        }
-        // Least-loaded worker stream first (greedy LPT, deterministic:
-        // stream clocks are simulated and ties go to the lowest id).
-        let mut best = 1;
-        let mut best_now = f64::INFINITY;
-        for s in 1..=self.streams {
-            let now = ctx.device.stream_now(s);
-            if now < best_now {
-                best_now = now;
-                best = s;
-            }
-        }
-        if !self.used[best] {
-            ctx.device.wait_event(best, self.fence);
-            self.used[best] = true;
-        }
-        charge_method_on(ctx, idx, method, best);
-    }
-
-    /// End of level: the default stream waits for every used worker.
-    fn flush(&mut self, device: &Device) {
-        for (s, used) in self.used.iter_mut().enumerate() {
-            if *used {
-                let done = device.record_event(s);
-                device.wait_event(0, done);
-                *used = false;
-            }
-        }
-    }
-}
-
 /// Stable in-order partition of `idx` by `flags` (`true` → left). The
-/// functional core of the scan-based partition kernel; its cost is
-/// charged level-batched by the grower.
+/// functional core of the scan-based partition kernel; the grower's
+/// placement charges its cost.
 pub fn partition_stable(idx: &[u32], flags: &[bool]) -> (Vec<u32>, Vec<u32>) {
     debug_assert_eq!(idx.len(), flags.len());
     let mut left = Vec::with_capacity(idx.len());
@@ -233,6 +164,25 @@ pub fn grow_tree_pooled(
     root_idx: Vec<u32>,
     pool: &mut HistogramPool,
 ) -> GrowResult {
+    let single = Placement::Single(device);
+    grow_tree_placed(&single, data, grads, config, features, root_idx, pool)
+}
+
+/// The level grower behind every placement: [`grow_tree_pooled`] with
+/// the device charges of each build, split search, partition and
+/// level join issued through `placement` (the lead device runs the
+/// functional computation, which is placement-independent — so is the
+/// grown tree).
+pub(crate) fn grow_tree_placed(
+    placement: &Placement<'_>,
+    data: &BinnedDataset,
+    grads: &Gradients,
+    config: &TrainConfig,
+    features: &[u32],
+    root_idx: Vec<u32>,
+    pool: &mut HistogramPool,
+) -> GrowResult {
+    let device = placement.lead();
     let d = grads.d;
     pool.ensure_shape(features.len(), d, config.max_bins);
     let ctx = HistContext {
@@ -275,6 +225,7 @@ pub fn grow_tree_pooled(
     // Parent histograms surviving from the previous level so that
     // `HistSource::Derive` children can subtract against them.
     let mut parents: Vec<NodeHistogram> = Vec::new();
+    let mut charges = placement.level_charges(config.streams);
 
     for depth in 0..config.max_depth {
         // Per-level profiling scope nested under the trainer's round
@@ -282,17 +233,13 @@ pub fn grow_tree_pooled(
         let _level_scope = device.prof_scope("level", Some(depth as u64));
         let mut next = Vec::new();
         let mut next_parents: Vec<NodeHistogram> = Vec::new();
-        // Split evaluation and partitioning are charged once per level
-        // as batched kernels (paper §3.1.3) — per-node launches would
-        // dominate at depth.
-        let mut split_charges = LevelSplitCharges::new();
-        let mut hist_charges = HistCharges::new(device, config.streams);
-        let mut partition_elems = 0usize;
+        charges.begin_level();
 
         // ---- stage 1: histogram build ------------------------------
         // Level-batched buffers are needed when subtraction derives
         // must see their sibling's and parent's buffers at once, and
-        // they pay off when real host parallelism is available. With
+        // they pay off when real host parallelism is available and the
+        // placement lets a level's buffers be live together. With
         // neither, each histogram is instead built immediately before
         // its split is selected (in stage 2), keeping a single hot
         // buffer resident in cache — measurably faster single-threaded.
@@ -300,7 +247,9 @@ pub fn grow_tree_pooled(
         // charges are issued in stage 2's node-index order, so the tree
         // and the simulated timeline are identical across modes.
         let batch = config.hist.subtraction
-            || (config.parallel_level_hist && rayon::current_num_threads() > 1);
+            || (config.parallel_level_hist
+                && rayon::current_num_threads() > 1
+                && placement.batches_level_builds());
         let mut hists: Vec<Option<NodeHistogram>> = frontier.iter().map(|_| None).collect();
         if batch {
             // Fresh builds of the level run over pooled buffers; they
@@ -346,12 +295,7 @@ pub fn grow_tree_pooled(
                     .as_ref()
                     .expect("smaller sibling builds fresh in the same level");
                 out.assign_difference(&parents[parent], sib);
-                device.charge_kernel(
-                    "hist_subtract",
-                    Phase::Histogram,
-                    &KernelCost::streaming(out.g.len() as f64 * 2.0, (out.g.len() * 3 * 8) as f64),
-                );
-                crate::sanitize::trace_subtract(device, out.g.len());
+                charges.charge_subtract(features, d, config.max_bins);
                 hists[i] = Some(out);
             }
         }
@@ -403,17 +347,14 @@ pub fn grow_tree_pooled(
             // node-index order so the stream-scheduling (LPT) outcome
             // is independent of how stage 1 was parallelized.
             if matches!(source, HistSource::Build) {
-                let m = resolve_method(&ctx, instances.len());
-                hist_charges.charge(&ctx, &instances, m);
-                *methods_used.entry(m).or_insert(0) += 1;
+                charges.charge_build(&ctx, &instances, &mut methods_used);
             }
 
             let state = bounds.as_ref().map(|b| ConstraintState {
                 monotone: &config.monotone_constraints,
                 bounds: b,
             });
-            let split = find_best_split_constrained(
-                &mut split_charges,
+            let split = charges.find_split(
                 &hist,
                 features,
                 &g,
@@ -433,15 +374,14 @@ pub fn grow_tree_pooled(
             }
 
             // Partition instances by the winning condition (Algorithm 1
-            // lines 16–17); the scan-based partition kernel for all of
-            // the level's nodes is charged once below.
+            // lines 16–17); the placement charges the partition kernels
+            // (level-batched where it can).
             let col = data.bins.col(split.feature as usize);
             let flags: Vec<bool> = instances
                 .iter()
                 .map(|&i| col[i as usize] <= split.bin)
                 .collect();
-            partition_elems += instances.len();
-            crate::sanitize::trace_partition(device, &flags);
+            charges.route(&split, &flags);
             let (left_idx, right_idx) = partition_stable(&instances, &flags);
             debug_assert_eq!(left_idx.len(), split.left_count as usize);
             debug_assert_eq!(right_idx.len(), split.right_count as usize);
@@ -530,21 +470,7 @@ pub fn grow_tree_pooled(
                 bounds: right_bounds,
             });
         }
-        hist_charges.flush(device);
-        split_charges.flush(device, device.model().params.sm_count, params.segments_c);
-        if partition_elems > 0 {
-            device.charge_kernel(
-                "partition_level",
-                Phase::Partition,
-                &KernelCost {
-                    flops: 3.0 * partition_elems as f64,
-                    // flag read + index read + scan traffic + scatter
-                    dram_bytes: (partition_elems * 17) as f64,
-                    launches: 2.0,
-                    ..Default::default()
-                },
-            );
-        }
+        charges.end_level(params.segments_c);
         frontier = next;
         parents = next_parents;
         if frontier.is_empty() {
@@ -583,6 +509,7 @@ mod tests {
     use crate::loss::MseLoss;
     use gbdt_data::synth::{make_regression, RegressionSpec};
     use gbdt_data::Dataset;
+    use gpusim::Phase;
 
     fn setup(n: usize, m: usize, d: usize) -> (Dataset, BinnedDataset, Gradients) {
         let ds = make_regression(&RegressionSpec {

@@ -17,8 +17,10 @@
 //!    inference, plus the incremental training-score update.
 //!
 //! [`trainer::GpuTrainer`] drives a single device;
-//! [`multigpu::MultiGpuTrainer`] partitions features across a
-//! [`gpusim::DeviceGroup`] (paper §3.4.2).
+//! [`multigpu::MultiGpuTrainer`] partitions features (paper §3.4.2) or
+//! instances across a [`gpusim::DeviceGroup`]. Both run the same
+//! boosting loop and grower; the [`multigpu`] placement decides only
+//! which device charges what.
 //!
 //! For inference beyond training, [`compiled::CompiledEnsemble`]
 //! flattens trees into SoA arrays and [`serve`] uploads them to a

@@ -1,45 +1,68 @@
-//! Multi-GPU training on a single machine (paper §3.4.2).
+//! Device placement: where the one boosting loop
+//! ([`crate::trainer`]) and the one level grower ([`crate::grow`])
+//! charge their work.
 //!
-//! Feature columns are partitioned across devices: each device builds
-//! histograms and evaluates splits *only for its features*, so the
-//! dominant histogram cost divides by the device count. Per node, the
-//! devices exchange only summary statistics — their local best-split
-//! candidates (an all-gather of a few dozen bytes each) and, once the
-//! global winner is known, the owner broadcasts the left/right routing
-//! bitmap so every device partitions its instance lists identically.
-//! The group runs bulk-synchronously; barrier waits book as idle time.
+//! Training is the same Algorithm 1 on every device count; a
+//! [`Placement`] decides only what differs between layouts:
+//!
+//! * **Single** — one device charges everything; a level's fresh
+//!   histogram builds spread over worker streams and its split search
+//!   is one batched segmented reduction (§3.1.3).
+//! * **Feature-parallel** (the paper's §3.4.2 design) — feature columns
+//!   are partitioned across devices ([`partition_features`]): each
+//!   device histograms and searches only its own columns, the devices
+//!   all-gather their best-split candidates (a few dozen bytes each),
+//!   and the owner of each winning feature broadcasts the routing
+//!   bitmap so every device partitions identically. Gradients are
+//!   replicated, so replicated per-row work is mirrored in full.
+//! * **Data-parallel** — instances are sharded: each device histograms
+//!   its shard over all features, and one ring all-reduce per level
+//!   sums the partial multi-output histograms (the communication
+//!   blow-up that motivates the feature-parallel choice for large `d`).
+//!   Per-row work is mirrored at shard size.
+//!
+//! The functional computation — gradients, histograms, splits, trees —
+//! runs once on the host and is identical for every placement, so a
+//! model trained on `k` devices is bit-identical to the single-device
+//! model. Multi-device groups run bulk-synchronously: a level ends in a
+//! barrier (idle time booked), or with `streams > 1` in a clock
+//! alignment while level-batched collectives drain on a separate comm
+//! stream, overlapping the next level's builds.
+//!
+//! Knobs a placement cannot honour through the shared code are
+//! rejected up front by [`MultiGpuTrainer::try_with_strategy`]:
+//! histogram subtraction and GOSS under data parallelism.
 //!
 //! ## Fault recovery
 //!
-//! When any device in the group has a fault injector attached
+//! When any device has a fault injector attached
 //! (`Device::enable_faults`), every bulk-synchronous step ends with a
-//! group-wide poll. A transient launch fault re-runs the round within
+//! group-wide poll. A transient launch fault re-runs the step within
 //! the [`crate::RetryPolicy`] budget (the failed attempt's charges stay
-//! booked — the grid ran and trapped). A lost device is *dropped from
-//! the active set*: the survivors re-partition the work, re-charge the
-//! ingest of their enlarged shares, re-run the interrupted round, and
-//! finish training — producing trees bit-identical to a fault-free run,
-//! because the functional compute is independent of the device count.
-//! Only when every device is gone does training fail, with
-//! [`TrainError::AllDevicesLost`].
+//! booked — the grid ran and trapped). A lost device ends a
+//! single-device fit with [`TrainError::DeviceLost`]; in a larger group
+//! it is *dropped from the active set*: the survivors re-partition the
+//! work, re-charge the ingest of their enlarged shares, re-run the
+//! interrupted round, and finish — with trees bit-identical to a
+//! fault-free run. Only when every device is gone does training fail,
+//! with [`TrainError::AllDevicesLost`].
 
-use crate::config::{ConfigError, HistogramMethod, TrainConfig};
+use crate::config::{ConfigError, HistogramMethod, OutputSketch, TrainConfig};
 use crate::error::TrainError;
-use crate::grad::{compute_gradients, update_scores_from_leaves, Gradients};
-use crate::grow::{partition_stable, GrowResult};
-use crate::hist::{accumulate_dense, adaptive, gmem, smem, sortreduce, HistContext, NodeHistogram};
-use crate::loss::loss_for_task;
+use crate::grad::Gradients;
+use crate::hist::{charge_method_on, resolve_method, HistContext, NodeHistogram};
 use crate::model::Model;
-use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d};
-use crate::split::{find_best_split_range, leaf_values, SplitCandidate, SplitParams};
-use crate::trainer::{base_scores, TrainReport};
-use crate::tree::Tree;
-use gbdt_data::{BinnedDataset, Dataset};
+use crate::sketch::{apply_sketch, charge_apply, plan_sketch};
+use crate::split::{
+    find_best_split_constrained, find_best_split_range, ConstraintState, LevelSplitCharges,
+    SplitCandidate, SplitParams,
+};
+use crate::trainer::TrainReport;
+use gbdt_data::Dataset;
 use gpusim::cost::KernelCost;
-use gpusim::{Device, DeviceGroup, Event, GpuFault, Phase, Telemetry};
+use gpusim::{Device, DeviceGroup, Event, GpuFault, LedgerSummary, Phase, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Stream carrying fresh histogram builds when `streams > 1` (stream 0
 /// keeps gradients, split evaluation, and partitioning serial).
@@ -50,12 +73,8 @@ const COMM_STREAM: usize = 2;
 /// Collectives are modeled as pipelined into this many chunks: the
 /// first reduced chunk lands `1/COMM_CHUNKS` into the transfer, so the
 /// next level's builds overlap the tail (the same convention as the
-/// trainer's chunked ingest copy).
+/// single-device chunked ingest copy).
 const COMM_CHUNKS: f64 = 8.0;
-
-/// Frontier entry awaiting its level's collective exchange:
-/// `(tree node, instances, g sums, h sums, local best split)`.
-type PendingNode = (usize, Vec<u32>, Vec<f64>, Vec<f64>, Option<SplitCandidate>);
 
 /// Contiguous feature ranges per device: device `i` owns
 /// `[ranges[i].0, ranges[i].1)` as local indices into `0..m`.
@@ -71,160 +90,6 @@ pub fn partition_features(m: usize, k: usize) -> Vec<(usize, usize)> {
         start += len;
     }
     out
-}
-
-/// Outcome of polling every active device after one bulk-synchronous
-/// step (the group-wide `cudaGetLastError` analogue).
-enum GroupPoll {
-    /// No device reported a fault.
-    Clean,
-    /// At least one device trapped a retryable launch fault; the first
-    /// one (in rank order) is reported.
-    Transient(GpuFault),
-    /// One or more devices are gone. `dead` holds their positions in
-    /// the polled slice; loss dominates any pending transient.
-    Lost { dead: Vec<usize> },
-}
-
-fn poll_group(devices: &[Arc<Device>]) -> GroupPoll {
-    let mut dead = Vec::new();
-    let mut transient = None;
-    for (rank, dev) in devices.iter().enumerate() {
-        match dev.poll_fault() {
-            Ok(()) => {}
-            Err(GpuFault::DeviceLost { .. }) => dead.push(rank),
-            Err(fault @ GpuFault::Transient { .. }) => {
-                if transient.is_none() {
-                    transient = Some(fault);
-                }
-            }
-        }
-    }
-    if !dead.is_empty() {
-        GroupPoll::Lost { dead }
-    } else if let Some(fault) = transient {
-        GroupPoll::Transient(fault)
-    } else {
-        GroupPoll::Clean
-    }
-}
-
-/// What the caller should do after a polled step.
-enum StepVerdict {
-    /// Fault-free: commit the step's results.
-    Commit,
-    /// Transient fault within budget: re-run the step as-is.
-    Retry,
-    /// Devices were dropped: re-partition over the survivors, re-charge
-    /// their enlarged ingest shares, then re-run the step.
-    Degraded,
-}
-
-/// Charge every device for ingesting and binning its feature-range
-/// share (feature-parallel layout). Re-issued after degradation: the
-/// partition boundaries shift globally, so survivors reload and rebin
-/// their full new column ranges.
-fn charge_fp_preprocess(group: &DeviceGroup, n: usize, ranges: &[(usize, usize)]) {
-    for (dev, &(lo, hi)) in group.devices().iter().zip(ranges) {
-        let share_bytes = (n * (hi - lo) * 4) as f64;
-        dev.charge_ns(
-            "htod_features",
-            Phase::Transfer,
-            dev.model().host_copy_ns(share_bytes),
-        );
-        dev.charge_kernel(
-            "quantile_binning",
-            Phase::Binning,
-            &KernelCost::streaming((n * (hi - lo)) as f64 * 16.0, share_bytes * 2.5),
-        );
-    }
-}
-
-/// Charge every device for ingesting and binning all columns of its
-/// instance shard (data-parallel layout).
-fn charge_dp_preprocess(group: &DeviceGroup, n: usize, m: usize) {
-    let k = group.len();
-    for (rank, dev) in group.devices().iter().enumerate() {
-        let shard = n / k + usize::from(rank < n % k);
-        let bytes = (shard * m * 4) as f64;
-        dev.charge_ns(
-            "htod_features",
-            Phase::Transfer,
-            dev.model().host_copy_ns(bytes),
-        );
-        dev.charge_kernel(
-            "quantile_binning",
-            Phase::Binning,
-            &KernelCost::streaming((shard * m) as f64 * 16.0, bytes * 2.5),
-        );
-    }
-}
-
-/// Book a level-batched collective on every device's comm stream:
-/// all ranks enter together at `fence` (the slowest rank's arrival),
-/// each pays `ns` on its comm engine, and the returned event marks the
-/// collective's completion across the group. The comm streams advance
-/// in lockstep — every rank waits the same fence and charges the same
-/// duration — so the fold over per-device events is exact, not an
-/// approximation.
-fn streamed_collective(
-    devices: &[Arc<Device>],
-    name: &'static str,
-    ns: f64,
-    fence: Event,
-) -> Event {
-    let mut done = fence;
-    for dev in devices {
-        dev.wait_event(COMM_STREAM, fence);
-        dev.stream(COMM_STREAM).charge_ns(name, Phase::Comm, ns);
-        done = done.max(dev.record_event(COMM_STREAM));
-    }
-    done
-}
-
-/// Fold the group's stream-0 clocks into one alignment fence and make
-/// every device wait it: the bulk-synchronous join of streamed mode.
-/// Unlike [`DeviceGroup::barrier`] it books no idle time and leaves
-/// the comm/hist streams free to drain past the level boundary.
-fn align_stream0(devices: &[Arc<Device>]) -> Event {
-    let mut align = Event::at_ns(0.0);
-    for dev in devices {
-        align = align.max(dev.record_event(0));
-    }
-    for dev in devices {
-        dev.wait_event(0, align);
-    }
-    align
-}
-
-/// The group's shared telemetry registry, if any device carries one.
-/// `MultiGpuTrainer` users attach one registry to every member (see
-/// `Device::attach_telemetry`), so the first hit is the group's.
-fn group_telemetry(devices: &[Arc<Device>]) -> Option<Arc<Telemetry>> {
-    devices.iter().find_map(|dv| dv.telemetry())
-}
-
-/// Count collective payload bytes on the group's registry. Pure
-/// observer: called after the collective's charges are booked.
-fn tel_collective_bytes(devices: &[Arc<Device>], bytes: f64) {
-    if let Some(tel) = group_telemetry(devices) {
-        tel.counter_add("multigpu.collective_bytes", bytes as u64);
-    }
-}
-
-/// Record the pre-barrier clock spread across the surviving devices —
-/// how unevenly the group's makespans landed before the final join.
-fn tel_makespan_skew(devices: &[Arc<Device>]) {
-    if let Some(tel) = group_telemetry(devices) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for dev in devices {
-            let now = dev.now_ns();
-            lo = lo.min(now);
-            hi = hi.max(now);
-        }
-        tel.gauge_set("multigpu.makespan_skew_ns", (hi - lo).max(0.0));
-    }
 }
 
 /// How training work is decomposed across devices.
@@ -277,13 +142,29 @@ impl MultiGpuTrainer {
         Self::try_with_strategy(group, config, strategy).expect("invalid training configuration")
     }
 
-    /// Fallible counterpart of [`MultiGpuTrainer::with_strategy`].
+    /// Fallible counterpart of [`MultiGpuTrainer::with_strategy`]. Beyond
+    /// [`TrainConfig::validate`], data parallelism rejects the knobs it
+    /// cannot honour: `hist.subtraction` (a derived histogram would
+    /// skip its all-reduce) and `goss` (the gradient-norm ranking is
+    /// global across shards).
     pub fn try_with_strategy(
         group: DeviceGroup,
         config: TrainConfig,
         strategy: MultiGpuStrategy,
     ) -> Result<Self, ConfigError> {
         config.validate().map_err(ConfigError::from)?;
+        if strategy == MultiGpuStrategy::DataParallel {
+            if config.hist.subtraction {
+                return Err(ConfigError::from(
+                    "hist.subtraction is not supported by data-parallel training".to_string(),
+                ));
+            }
+            if config.goss.is_some() {
+                return Err(ConfigError::from(
+                    "goss is not supported by data-parallel training".to_string(),
+                ));
+            }
+        }
         Ok(MultiGpuTrainer {
             group,
             config,
@@ -331,964 +212,918 @@ impl MultiGpuTrainer {
     /// training (see the module docs); the error cases are an exhausted
     /// transient-retry budget and the loss of every device.
     pub fn try_fit_report(&self, ds: &Dataset) -> Result<TrainReport, TrainError> {
-        match self.strategy {
-            MultiGpuStrategy::FeatureParallel => self.fit_feature_parallel(ds),
-            MultiGpuStrategy::DataParallel => self.fit_data_parallel(ds),
+        let mut group = Group::new(self.group.devices().to_vec(), Some(self.strategy));
+        Ok(crate::trainer::fit_on(&mut group, &self.config, ds, None, None, None, None)?.0)
+    }
+}
+
+/// What the boosting loop should do after a polled step.
+pub(crate) enum StepVerdict {
+    /// Fault-free: commit the step's results.
+    Commit,
+    /// Transient fault within budget: re-run the step as-is.
+    Retry,
+    /// Devices were dropped: re-charge the survivors' enlarged ingest
+    /// shares, then re-run the step.
+    Degraded,
+}
+
+/// The devices one fit runs on, across its rounds: the members it was
+/// given, the survivors still training, and the layout that turns the
+/// survivors into a [`Placement`].
+pub(crate) struct Group {
+    members: Vec<Arc<Device>>,
+    active: Vec<Arc<Device>>,
+    /// `None`: a single device.
+    strategy: Option<MultiGpuStrategy>,
+}
+
+impl Group {
+    pub(crate) fn new(members: Vec<Arc<Device>>, strategy: Option<MultiGpuStrategy>) -> Self {
+        assert!(!members.is_empty(), "device group must not be empty");
+        Group {
+            active: members.clone(),
+            members,
+            strategy,
         }
     }
 
-    /// End-of-step poll and recovery decision for one bulk-synchronous
-    /// step. Trims `active` on device loss. `round` is the boosting
-    /// round, or `usize::MAX` for preprocessing.
-    fn recover_step(
-        &self,
-        active: &mut Vec<Arc<Device>>,
+    /// The current survivors laid out over a dataset of `m` features.
+    pub(crate) fn placement(&self, m: usize) -> Placement<'_> {
+        match self.strategy {
+            None => Placement::Single(&self.active[0]),
+            Some(MultiGpuStrategy::FeatureParallel) => Placement::FeatureParallel {
+                devices: &self.active,
+                ranges: partition_features(m, self.active.len()),
+            },
+            Some(MultiGpuStrategy::DataParallel) => Placement::DataParallel {
+                devices: &self.active,
+            },
+        }
+    }
+
+    /// The group's shared telemetry registry, if any member carries
+    /// one (`Device::attach_telemetry` shares one across a group).
+    pub(crate) fn telemetry(&self) -> Option<Arc<Telemetry>> {
+        self.members.iter().find_map(|dv| dv.telemetry())
+    }
+
+    /// Whether any member has a fault injector attached.
+    pub(crate) fn faults_on(&self) -> bool {
+        self.members.iter().any(|dv| dv.fault_injector().is_some())
+    }
+
+    /// Every member's ledger summary, in member order.
+    pub(crate) fn summaries(&self) -> Vec<LedgerSummary> {
+        self.members.iter().map(|dv| dv.summary()).collect()
+    }
+
+    /// End-of-step poll of every active device (the group-wide
+    /// `cudaGetLastError`) and the recovery decision. Loss dominates
+    /// any pending transient. `round` is the boosting round, or
+    /// `usize::MAX` for preprocessing. Counters and postmortems go to
+    /// `tel` after the decision is made.
+    pub(crate) fn recover(
+        &mut self,
+        tel: Option<&Telemetry>,
         attempts: &mut u32,
+        max_retries: u32,
         round: usize,
     ) -> Result<StepVerdict, TrainError> {
-        // Observer only (may be `None`): counters and postmortems are
-        // recorded on the group's shared registry after the recovery
-        // decision is already made.
-        let tel = group_telemetry(self.group.devices());
-        match poll_group(active) {
-            GroupPoll::Clean => Ok(StepVerdict::Commit),
-            GroupPoll::Transient(fault) => {
-                if *attempts >= self.config.retry.max_retries {
-                    let err = TrainError::RetriesExhausted {
-                        round,
-                        attempts: *attempts,
-                        fault,
-                    };
-                    if let Some(tl) = &tel {
-                        tl.counter_inc("train.faults_total");
-                        tl.record_postmortem(&err.to_string());
-                    }
-                    return Err(err);
+        let mut dead = Vec::new();
+        let mut lost = None;
+        let mut transient = None;
+        for (rank, dev) in self.active.iter().enumerate() {
+            match dev.poll_fault() {
+                Ok(()) => {}
+                Err(fault @ GpuFault::DeviceLost { .. }) => {
+                    dead.push(rank);
+                    lost.get_or_insert(fault);
                 }
-                *attempts += 1;
-                if let Some(tl) = &tel {
-                    tl.counter_inc("train.faults_total");
-                    tl.counter_inc("train.retries_total");
+                Err(fault @ GpuFault::Transient { .. }) => {
+                    transient.get_or_insert(fault);
                 }
-                Ok(StepVerdict::Retry)
             }
-            GroupPoll::Lost { dead } => {
-                for rank in dead.into_iter().rev() {
-                    active.remove(rank);
-                }
-                if let Some(tl) = &tel {
-                    tl.counter_inc("train.faults_total");
-                }
-                if active.is_empty() {
-                    let err = TrainError::AllDevicesLost { round };
-                    if let Some(tl) = &tel {
-                        tl.record_postmortem(&err.to_string());
-                    }
-                    return Err(err);
-                }
-                Ok(StepVerdict::Degraded)
+        }
+        let fail = |err: TrainError| {
+            if let Some(tl) = tel {
+                tl.record_postmortem(&err.to_string());
+            }
+            Err(err)
+        };
+        if let Some(fault) = lost {
+            if let Some(tl) = tel {
+                tl.counter_inc("train.faults_total");
+            }
+            if self.strategy.is_none() {
+                return fail(TrainError::DeviceLost { round, fault });
+            }
+            for rank in dead.into_iter().rev() {
+                self.active.remove(rank);
+            }
+            if self.active.is_empty() {
+                return fail(TrainError::AllDevicesLost { round });
+            }
+            return Ok(StepVerdict::Degraded);
+        }
+        let Some(fault) = transient else {
+            return Ok(StepVerdict::Commit);
+        };
+        if let Some(tl) = tel {
+            tl.counter_inc("train.faults_total");
+        }
+        if *attempts >= max_retries {
+            return fail(TrainError::RetriesExhausted {
+                round,
+                attempts: *attempts,
+                fault,
+            });
+        }
+        *attempts += 1;
+        if let Some(tl) = tel {
+            tl.counter_inc("train.retries_total");
+        }
+        Ok(StepVerdict::Retry)
+    }
+
+    /// End of the fit: a multi-device group records its pre-barrier
+    /// clock spread and joins every survivor to the group makespan.
+    /// Returns the surviving lead's ledger delta since `start` (from
+    /// [`Group::summaries`]) as the run's representative breakdown.
+    pub(crate) fn finish(&self, start: &[LedgerSummary]) -> LedgerSummary {
+        if self.strategy.is_some() {
+            if let Some(tel) = self.telemetry() {
+                let (lo, hi) = self
+                    .active
+                    .iter()
+                    .map(|dv| dv.now_ns())
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), t| {
+                        (lo.min(t), hi.max(t))
+                    });
+                tel.gauge_set("multigpu.makespan_skew_ns", (hi - lo).max(0.0));
+            }
+            DeviceGroup::from_devices(self.active.clone()).barrier();
+        }
+        let lead = &self.active[0];
+        let pos = self
+            .members
+            .iter()
+            .position(|dv| Arc::ptr_eq(dv, lead))
+            .expect("lead device comes from the original group");
+        lead.summary().since(&start[pos])
+    }
+}
+
+/// Where one boosting round charges its work: the device layout plus
+/// the decisions that differ between layouts. `devices[0]` (or the
+/// single device) is the lead: it runs the functional computation and
+/// pays the full-size charges; the others pay mirror charges.
+pub(crate) enum Placement<'a> {
+    /// One device.
+    Single(&'a Device),
+    /// Device `i` owns global feature IDs `ranges[i].0..ranges[i].1`.
+    FeatureParallel {
+        devices: &'a [Arc<Device>],
+        ranges: Vec<(usize, usize)>,
+    },
+    /// Device `i` owns the `i`-th contiguous shard of every node.
+    DataParallel { devices: &'a [Arc<Device>] },
+}
+
+/// Positions in the sorted `features` of the global IDs in `lo..hi`.
+fn local_range(features: &[u32], (lo, hi): (usize, usize)) -> (usize, usize) {
+    let at = |bound: usize| features.partition_point(|&f| (f as usize) < bound);
+    (at(lo), at(hi))
+}
+
+/// Charge ingest and binning of a `rows × cols` share of the features.
+fn charge_ingest(device: &Device, rows: usize, cols: usize) {
+    let bytes = (rows * cols * 4) as f64;
+    device.charge_ns(
+        "htod_features",
+        Phase::Transfer,
+        device.model().host_copy_ns(bytes),
+    );
+    device.charge_kernel(
+        "quantile_binning",
+        Phase::Binning,
+        &KernelCost::streaming((rows * cols) as f64 * 16.0, bytes * 2.5),
+    );
+}
+
+/// Partition `elems` resident instances of one level (flag read, index
+/// read, scan traffic, scatter).
+fn charge_partition_level(device: &Device, elems: usize) {
+    if elems > 0 {
+        device.charge_kernel(
+            "partition_level",
+            Phase::Partition,
+            &KernelCost {
+                flops: 3.0 * elems as f64,
+                dram_bytes: (elems * 17) as f64,
+                launches: 2.0,
+                ..Default::default()
+            },
+        );
+    }
+}
+
+/// Derive one histogram of `len` (feature × output × bin) cells as
+/// `parent − sibling` (one streaming pass).
+fn charge_subtract(device: &Device, len: usize) {
+    device.charge_kernel(
+        "hist_subtract",
+        Phase::Histogram,
+        &KernelCost::streaming(len as f64 * 2.0, (len * 3 * 8) as f64),
+    );
+    crate::sanitize::trace_subtract(device, len);
+}
+
+/// Count collective payload bytes on the group's registry. Pure
+/// observer: called after the collective's charges are booked.
+fn tel_collective_bytes(devices: &[Arc<Device>], bytes: f64) {
+    if let Some(tel) = devices.iter().find_map(|dv| dv.telemetry()) {
+        tel.counter_add("multigpu.collective_bytes", bytes as u64);
+    }
+}
+
+/// Book a level-batched collective on every device's comm stream:
+/// all ranks enter together at `fence` (the slowest rank's arrival),
+/// each pays `ns` on its comm engine, and the returned event marks the
+/// collective's completion across the group. The comm streams advance
+/// in lockstep — every rank waits the same fence and charges the same
+/// duration — so the fold over per-device events is exact.
+fn streamed_collective(
+    devices: &[Arc<Device>],
+    name: &'static str,
+    ns: f64,
+    fence: Event,
+) -> Event {
+    let mut done = fence;
+    for dev in devices {
+        dev.wait_event(COMM_STREAM, fence);
+        dev.stream(COMM_STREAM).charge_ns(name, Phase::Comm, ns);
+        done = done.max(dev.record_event(COMM_STREAM));
+    }
+    done
+}
+
+/// When the slowest device's fresh builds so far complete.
+fn builds_done(devices: &[Arc<Device>]) -> Event {
+    devices.iter().fold(Event::at_ns(0.0), |t, dev| {
+        t.max(dev.record_event(HIST_STREAM))
+    })
+}
+
+/// When the first of a `ns`-long collective's pipelined chunks lands,
+/// given its completion `done`: consumers may start there and overlap
+/// the tail.
+fn first_chunk(done: Event, ns: f64) -> Event {
+    done.offset_ns(-ns * (1.0 - 1.0 / COMM_CHUNKS))
+}
+
+/// Fold the group's stream-0 clocks into one alignment fence and make
+/// every device wait it: the bulk-synchronous join of streamed mode.
+/// Unlike [`DeviceGroup::barrier`] it books no idle time and leaves
+/// the comm/hist streams free to drain past the level boundary.
+fn align_stream0(devices: &[Arc<Device>]) -> Event {
+    let mut align = Event::at_ns(0.0);
+    for dev in devices {
+        align = align.max(dev.record_event(0));
+    }
+    for dev in devices {
+        dev.wait_event(0, align);
+    }
+    align
+}
+
+impl<'a> Placement<'a> {
+    /// The device running the functional computation.
+    pub(crate) fn lead(&self) -> &'a Device {
+        match *self {
+            Placement::Single(device) => device,
+            Placement::FeatureParallel { devices, .. } | Placement::DataParallel { devices } => {
+                &devices[0]
             }
         }
     }
 
-    /// Sketch the round's gradients once on device 0, broadcast the
-    /// plan (selected column indices or the projection matrix) as a
-    /// collective, and mirror the gather/projection apply on the
-    /// replica devices: `mirror_n` instances each — the full `n` under
-    /// feature parallelism (gradients are replicated), the shard size
-    /// under data parallelism.
-    fn sketch_round(
-        &self,
-        group: &DeviceGroup,
-        grads: &Gradients,
-        t: usize,
-        mirror_n: usize,
-    ) -> Gradients {
-        let dev0 = group.device(0);
-        let _sketch_scope = dev0.prof_scope("sketch", Some(t as u64));
-        let plan = plan_sketch(
-            dev0,
-            grads,
-            self.config.sketch,
-            self.config.seed.wrapping_add(t as u64),
-        );
-        let bytes = plan.broadcast_bytes(grads.d);
-        if group.len() > 1 && bytes > 0.0 {
-            group.broadcast(0, bytes as usize);
-            tel_collective_bytes(group.devices(), bytes);
+    /// Whether the grower may hold a whole level's fresh histograms at
+    /// once to build them across host threads (`parallel_level_hist`).
+    /// Only a single device does; a group builds one node at a time
+    /// into one hot buffer, holding its host memory to one histogram.
+    pub(crate) fn batches_level_builds(&self) -> bool {
+        matches!(self, Placement::Single(_))
+    }
+
+    /// The non-lead devices, which pay mirror charges.
+    fn replicas(&self) -> &'a [Arc<Device>] {
+        match *self {
+            Placement::Single(_) => &[],
+            Placement::FeatureParallel { devices, .. } | Placement::DataParallel { devices } => {
+                &devices[1..]
+            }
         }
-        let sketched = apply_sketch(dev0, grads, &plan);
-        for dev in &group.devices()[1..] {
-            charge_apply(dev, mirror_n, grads.d, &plan);
+    }
+
+    /// Rows of an `rows`-row replicated pass one replica touches: all
+    /// of them when gradients are replicated, a shard otherwise.
+    fn mirror_rows(&self, rows: usize) -> usize {
+        match self {
+            Placement::DataParallel { devices } => rows / devices.len(),
+            _ => rows,
+        }
+    }
+
+    /// Charge feature ingest and binning for an `n × m` dataset: the
+    /// whole matrix on one device (with `streams > 1` the copy runs on
+    /// a copy stream and binning pipelines one chunk behind it), each
+    /// device's column range or row shard in a group.
+    pub(crate) fn charge_preprocess(&self, n: usize, m: usize, config: &TrainConfig) {
+        match self {
+            Placement::Single(device) if config.streams > 1 => {
+                // Ingest runs on a copy stream (engine work, no SM
+                // contention) and quantize pipelines one chunk behind
+                // it: the binning kernel starts once the first of 8
+                // copy chunks has landed, instead of after the full
+                // transfer. Charge order is identical to the serial
+                // schedule — only start timestamps move.
+                let raw_bytes = (n * m * 4) as f64;
+                let copy_ns = device.model().host_copy_ns(raw_bytes);
+                let copy = device.stream(1);
+                copy.wait_event(device.record_event(0));
+                let copy_start = copy.record_event();
+                copy.charge_ns("htod_features", Phase::Transfer, copy_ns);
+                device.wait_event(0, copy_start.offset_ns(copy_ns / 8.0));
+                let done = copy.record_event();
+                device.charge_kernel(
+                    "quantile_binning",
+                    Phase::Binning,
+                    &KernelCost::streaming((n * m) as f64 * 16.0, raw_bytes * 2.5),
+                );
+                crate::sanitize::trace_quantile_binning(device, n, m, config.max_bins);
+                // Everything after preprocessing reads the device-
+                // resident features: join the copy stream before the
+                // first gradient kernel can issue.
+                device.wait_event(0, done);
+            }
+            Placement::Single(device) => {
+                charge_ingest(device, n, m);
+                crate::sanitize::trace_quantile_binning(device, n, m, config.max_bins);
+            }
+            Placement::FeatureParallel { devices, ranges } => {
+                for (dev, &(lo, hi)) in devices.iter().zip(ranges) {
+                    charge_ingest(dev, n, hi - lo);
+                }
+            }
+            Placement::DataParallel { devices } => {
+                for (dev, (lo, hi)) in devices.iter().zip(partition_features(n, devices.len())) {
+                    charge_ingest(dev, hi - lo, m);
+                }
+            }
+        }
+    }
+
+    /// Mirror the lead's `rows`-row pass of kernel `name` on every
+    /// replica, each charged `cost(its rows)`.
+    pub(crate) fn mirror(
+        &self,
+        name: &'static str,
+        phase: Phase,
+        rows: usize,
+        cost: impl Fn(usize) -> KernelCost,
+    ) {
+        let share = self.mirror_rows(rows);
+        for dev in self.replicas() {
+            dev.charge_kernel(name, phase, &cost(share));
+        }
+    }
+
+    /// Mirror the lead's `n × d` gradient pass on every replica.
+    pub(crate) fn mirror_gradients(&self, n: usize, d: usize, flops_per_output: f64) {
+        let name = match self {
+            Placement::DataParallel { .. } => "grad_hess_shard",
+            _ => "grad_hess",
+        };
+        self.mirror(name, Phase::Gradient, n, |r| {
+            KernelCost::streaming(r as f64 * d as f64 * flops_per_output, (r * d * 16) as f64)
+        });
+    }
+
+    /// Mirror the lead's incremental score update on every replica.
+    pub(crate) fn mirror_score_update(&self, leaves: &[(Vec<u32>, Vec<f32>)], d: usize) {
+        let touched: usize = leaves.iter().map(|(v, _)| v.len()).sum();
+        let (name, leaf_bytes) = match self {
+            Placement::DataParallel { .. } => ("update_scores_shard", 0),
+            _ => ("update_scores", leaves.len() * d * 4),
+        };
+        self.mirror(name, Phase::Predict, touched, |r| {
+            KernelCost::streaming((r * d) as f64, (r * d * 8 + leaf_bytes) as f64)
+        });
+    }
+
+    /// Sketch the round's gradients once on the lead; a group
+    /// broadcasts the plan (selected columns or projection matrix) and
+    /// mirrors the gather/projection apply on the replicas.
+    pub(crate) fn sketch(&self, grads: &Gradients, sketch: OutputSketch, seed: u64) -> Gradients {
+        let lead = self.lead();
+        let plan = plan_sketch(lead, grads, sketch, seed);
+        let bytes = plan.broadcast_bytes(grads.d);
+        match *self {
+            Placement::FeatureParallel { devices, .. } | Placement::DataParallel { devices }
+                if devices.len() > 1 && bytes > 0.0 =>
+            {
+                DeviceGroup::from_devices(devices.to_vec()).broadcast(0, bytes as usize);
+                tel_collective_bytes(devices, bytes);
+            }
+            _ => {}
+        }
+        let sketched = apply_sketch(lead, grads, &plan);
+        for dev in self.replicas() {
+            charge_apply(dev, self.mirror_rows(grads.n), grads.d, &plan);
         }
         sketched
     }
 
-    /// Refit a sketch-grown tree's leaves to the full `d`-dimensional
-    /// optimum on device 0 and mirror the gather-reduce charge on the
-    /// replicas (`mirror_touched` resident instances each).
-    #[allow(clippy::type_complexity)]
-    fn refit_round(
-        &self,
-        group: &DeviceGroup,
-        tree: Tree,
-        leaf_assignments: Vec<(Vec<u32>, Vec<f32>)>,
-        leaf_nodes: Vec<usize>,
-        full: &Gradients,
-        mirror_touched: usize,
-    ) -> (Tree, Vec<(Vec<u32>, Vec<f32>)>) {
-        let mut grown = GrowResult {
-            tree,
-            leaf_assignments,
-            leaf_nodes,
-            methods_used: BTreeMap::new(),
-        };
-        refit_leaves_full_d(group.device(0), &mut grown, full, &self.config);
-        let d = full.d;
-        for dev in &group.devices()[1..] {
-            dev.charge_kernel(
-                "leaf_refit_full_d",
-                Phase::LeafValue,
-                &KernelCost::streaming(
-                    (mirror_touched * d * 2) as f64,
-                    (mirror_touched * d * 8) as f64,
-                ),
-            );
+    /// Fresh per-tree charging state for the level grower.
+    pub(crate) fn level_charges(&self, streams: usize) -> LevelCharges<'_, 'a> {
+        let k = self.replicas().len() + 1;
+        LevelCharges {
+            placement: self,
+            streams: streams.max(1),
+            fence: None,
+            hist: None,
+            split: LevelSplitCharges::new(),
+            searched: 0,
+            partition_elems: 0,
+            reduce_bytes: 0,
+            built: vec![None; k],
+            candidate_bytes: vec![0; k],
+            flag_bytes: vec![0; k],
+            flag_elems: vec![0; k],
         }
-        (grown.tree, grown.leaf_assignments)
+    }
+}
+
+/// Charging policy for one level's fresh-histogram kernels on a single
+/// device.
+///
+/// At `streams = 1` every charge goes to the default stream, which
+/// reproduces the serial clock bit for bit. With more streams, each
+/// fresh build issues on the currently least-loaded worker stream
+/// (`1..=streams`): a level's node histograms are mutually independent,
+/// so sibling builds overlap on the simulated timeline up to the
+/// device's occupancy-derived concurrency cap. Every worker stream is
+/// fenced to the level-start clock of the default stream before its
+/// first charge, and [`HistCharges::flush`] joins the default stream to
+/// every used worker's completion fence — so split evaluation and the
+/// partition kernel (default stream) start only after the last build.
+///
+/// Charges still *issue* in node-index order regardless of stream
+/// count: the ledger's record list, the fault injector's charge-index
+/// semantics, and the profiler's aggregates are identical to the serial
+/// schedule. Only start timestamps and the makespan move.
+struct HistCharges {
+    streams: usize,
+    /// Default-stream clock at level start (before this level's derive
+    /// subtractions), which is what fresh builds actually depend on.
+    fence: Event,
+    /// Worker streams fenced (and charged) since construction.
+    used: Vec<bool>,
+}
+
+impl HistCharges {
+    fn new(device: &Device, streams: usize) -> Self {
+        HistCharges {
+            streams,
+            fence: device.record_event(0),
+            used: vec![false; streams + 1],
+        }
     }
 
-    fn fit_feature_parallel(&self, ds: &Dataset) -> Result<TrainReport, TrainError> {
-        let host_start = Instant::now();
-        let n = ds.n();
-        let d = ds.d();
-        let m = ds.m();
-        let start_summaries: Vec<_> = self.group.devices().iter().map(|dv| dv.summary()).collect();
-        let mut active: Vec<Arc<Device>> = self.group.devices().to_vec();
-        let faults_on = active.iter().any(|dv| dv.fault_injector().is_some());
-        let streamed = self.config.streams > 1;
-        let hist_stream = if streamed { HIST_STREAM } else { 0 };
-
-        // --- preprocessing, charged per device for its feature share --
-        let mut attempts = 0u32;
-        loop {
-            let group = DeviceGroup::from_devices(active.clone());
-            let ranges = partition_features(m, group.len());
-            charge_fp_preprocess(&group, n, &ranges);
-            if !faults_on {
-                break;
-            }
-            match self.recover_step(&mut active, &mut attempts, usize::MAX)? {
-                StepVerdict::Commit => break,
-                // Retry and degradation both simply re-run the ingest:
-                // the loop recomputes the partition from the survivors.
-                StepVerdict::Retry | StepVerdict::Degraded => {}
+    fn charge(&mut self, ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) {
+        if self.streams == 1 {
+            charge_method_on(ctx, idx, method, 0);
+            return;
+        }
+        // Least-loaded worker stream first (greedy LPT, deterministic:
+        // stream clocks are simulated and ties go to the lowest id).
+        let mut best = 1;
+        let mut best_now = f64::INFINITY;
+        for s in 1..=self.streams {
+            let now = ctx.device.stream_now(s);
+            if now < best_now {
+                best_now = now;
+                best = s;
             }
         }
-        let binned = BinnedDataset::build(ds.features(), self.config.max_bins);
-        let features: Vec<u32> = (0..m as u32).collect();
-
-        let base = base_scores(ds);
-        let mut scores = vec![0.0f32; n * d];
-        for row in scores.chunks_mut(d) {
-            row.copy_from_slice(&base);
+        if !self.used[best] {
+            ctx.device.wait_event(best, self.fence);
+            self.used[best] = true;
         }
-        let loss = loss_for_task(ds.task());
-        let params = SplitParams {
-            lambda: self.config.lambda,
-            min_gain: self.config.min_gain,
-            min_instances: self.config.min_instances,
-            segments_c: self.config.segments_per_block_c,
-        };
+        charge_method_on(ctx, idx, method, best);
+    }
 
-        let mut trees = Vec::with_capacity(self.config.num_trees);
-        let mut hist_methods: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
-        // Structure search runs at the sketch's effective output
-        // dimension; the histogram shrinks from d to k columns.
-        let d_eff = self.config.sketch.effective_dim(d);
-        let mut hist = NodeHistogram::new(m, d_eff, self.config.max_bins);
+    /// End of level: the default stream waits for every used worker.
+    fn flush(&mut self, device: &Device) {
+        for (s, used) in self.used.iter_mut().enumerate() {
+            if *used {
+                let done = device.record_event(s);
+                device.wait_event(0, done);
+                *used = false;
+            }
+        }
+    }
+}
 
-        for t in 0..self.config.num_trees {
-            // Snapshot the round's inputs so a faulted attempt can be
-            // rolled back and re-run (cloned only when injectors are
-            // attached — the fault-free path is untouched).
-            let saved = faults_on.then(|| (scores.clone(), hist_methods.clone()));
-            let mut attempts = 0u32;
-            let committed = loop {
-                let group = DeviceGroup::from_devices(active.clone());
-                let ranges = partition_features(m, group.len());
-                // Scope the round on the lead device (the representative
-                // timeline; devices run in lockstep between collectives).
-                let _round_scope = group.device(0).prof_scope("round", Some(t as u64));
-                // Gradients are replicated: every device computes them for
-                // all instances (standard in feature-parallel training —
-                // gradients depend on all outputs but no feature exchange).
-                let grads_full = {
-                    let g = compute_gradients(
-                        group.device(0),
-                        loss.as_ref(),
-                        &scores,
-                        ds.targets(),
-                        n,
-                        d,
+/// The level grower's charges under one placement, for one tree. Each
+/// level runs [`LevelCharges::begin_level`], then per node (in
+/// node-index order) the build/split/route hooks, then
+/// [`LevelCharges::end_level`]: the single device flushes its batched
+/// split and partition kernels; a group runs its level collectives and
+/// joins.
+pub(crate) struct LevelCharges<'p, 'a> {
+    placement: &'p Placement<'a>,
+    streams: usize,
+    /// Streamed group: where the next level's fresh builds may start
+    /// (the previous level's alignment, or the first chunk of its
+    /// in-flight collective, whose tail they overlap).
+    fence: Option<Event>,
+    /// Single device: the level's fresh-build stream schedule.
+    hist: Option<HistCharges>,
+    /// Single device: the level's batched split-search work.
+    split: LevelSplitCharges,
+    /// Nodes whose split was searched this level.
+    searched: usize,
+    /// Instances partitioned this level.
+    partition_elems: usize,
+    /// Data-parallel: histogram bytes to all-reduce this level.
+    reduce_bytes: usize,
+    /// Feature-parallel, streamed: each device's build of this node.
+    built: Vec<Option<Event>>,
+    /// Feature-parallel: per-device candidate payload this level.
+    candidate_bytes: Vec<usize>,
+    /// Feature-parallel: per-device routing-bitmap payload this level.
+    flag_bytes: Vec<usize>,
+    /// Feature-parallel: per-device routing flags computed this level.
+    flag_elems: Vec<usize>,
+}
+
+impl LevelCharges<'_, '_> {
+    fn streamed(&self) -> bool {
+        self.streams > 1
+    }
+
+    fn hist_stream(&self) -> usize {
+        if self.streamed() {
+            HIST_STREAM
+        } else {
+            0
+        }
+    }
+
+    /// Level start: fence the fresh-build streams.
+    pub(crate) fn begin_level(&mut self) {
+        match self.placement {
+            Placement::Single(device) => self.hist = Some(HistCharges::new(device, self.streams)),
+            Placement::FeatureParallel { devices, .. } | Placement::DataParallel { devices } => {
+                if self.streamed() {
+                    for dev in devices.iter() {
+                        let f = self.fence.unwrap_or_else(|| dev.record_event(0));
+                        dev.wait_event(HIST_STREAM, f);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Derive a node's histogram (shape `features.len() × d × bins`) by
+    /// subtraction: each device derives the columns it holds.
+    pub(crate) fn charge_subtract(&mut self, features: &[u32], d: usize, bins: usize) {
+        match self.placement {
+            Placement::Single(device) => charge_subtract(device, features.len() * d * bins),
+            Placement::FeatureParallel { devices, ranges } => {
+                for (dev, &range) in devices.iter().zip(ranges) {
+                    let (lo, hi) = local_range(features, range);
+                    if hi > lo {
+                        charge_subtract(dev, (hi - lo) * d * bins);
+                    }
+                }
+            }
+            Placement::DataParallel { .. } => {
+                unreachable!("data-parallel training rejects hist.subtraction")
+            }
+        }
+    }
+
+    /// Charge one node's fresh histogram build over instances `idx`
+    /// (`ctx` covers the tree's features on the lead), tallying each
+    /// kernel's method in `methods`.
+    pub(crate) fn charge_build(
+        &mut self,
+        ctx: &HistContext<'_>,
+        idx: &[u32],
+        methods: &mut BTreeMap<HistogramMethod, usize>,
+    ) {
+        let mut tally = |m| *methods.entry(m).or_insert(0) += 1;
+        let stream = self.hist_stream();
+        match self.placement {
+            Placement::Single(_) => {
+                let m = resolve_method(ctx, idx.len());
+                self.hist
+                    .as_mut()
+                    .expect("begin_level opens the stream schedule")
+                    .charge(ctx, idx, m);
+                tally(m);
+            }
+            Placement::FeatureParallel { devices, ranges } => {
+                // Each device builds its own columns; it fences only its
+                // own build (the cross-device join is the candidate
+                // all-gather).
+                for (rank, (dev, &range)) in devices.iter().zip(ranges).enumerate() {
+                    let (lo, hi) = local_range(ctx.features, range);
+                    if lo == hi {
+                        continue;
+                    }
+                    let dctx = HistContext {
+                        device: dev,
+                        features: &ctx.features[lo..hi],
+                        ..*ctx
+                    };
+                    let m = resolve_method(&dctx, idx.len());
+                    charge_method_on(&dctx, idx, m, stream);
+                    tally(m);
+                    if self.streamed() {
+                        self.built[rank] = Some(dev.record_event(HIST_STREAM));
+                    }
+                }
+            }
+            Placement::DataParallel { devices } => {
+                // Partial histograms: every device runs the kernel over
+                // its 1/k shard of the node, all features.
+                for (dev, (lo, hi)) in devices
+                    .iter()
+                    .zip(partition_features(idx.len(), devices.len()))
+                {
+                    let part = &idx[lo..hi];
+                    if part.is_empty() {
+                        continue;
+                    }
+                    let dctx = HistContext {
+                        device: dev,
+                        ..*ctx
+                    };
+                    let m = resolve_method(&dctx, part.len());
+                    charge_method_on(&dctx, part, m, stream);
+                    tally(m);
+                }
+                if self.streamed() {
+                    // Split evaluation is replicated and consumes the
+                    // reduced histogram of every shard: join split work
+                    // on the slowest rank's fresh build.
+                    let built = builds_done(devices);
+                    for dev in devices.iter() {
+                        dev.wait_event(0, built);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Best split of one node from its full histogram: one batched
+    /// search on a single device; per-device searches of each column
+    /// range and a strictly-greater-gain merge (exact ties resolve to
+    /// the lowest range, matching the global argmax) under feature
+    /// parallelism; a lead search with replicated charges under data
+    /// parallelism.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn find_split(
+        &mut self,
+        hist: &NodeHistogram,
+        features: &[u32],
+        node_g: &[f64],
+        node_h: &[f64],
+        count: u32,
+        params: &SplitParams,
+        constraints: Option<&ConstraintState<'_>>,
+    ) -> Option<SplitCandidate> {
+        self.searched += 1;
+        match self.placement {
+            Placement::Single(_) => find_best_split_constrained(
+                &mut self.split,
+                hist,
+                features,
+                node_g,
+                node_h,
+                count,
+                params,
+                constraints,
+            ),
+            Placement::FeatureParallel { devices, ranges } => {
+                let mut best: Option<SplitCandidate> = None;
+                for (rank, (dev, &range)) in devices.iter().zip(ranges).enumerate() {
+                    if let Some(built) = self.built[rank].take() {
+                        dev.wait_event(0, built);
+                    }
+                    let (lo, hi) = local_range(features, range);
+                    let local = find_best_split_range(
+                        dev,
+                        hist,
+                        features,
+                        lo,
+                        hi,
+                        node_g,
+                        node_h,
+                        count,
+                        params,
+                        constraints,
                     );
-                    for dev in &group.devices()[1..] {
+                    self.candidate_bytes[rank] +=
+                        16 + local.as_ref().map_or(0, |c| c.left_g.len() * 16);
+                    if let Some(c) = local {
+                        if best.as_ref().is_none_or(|b| c.gain > b.gain) {
+                            best = Some(c);
+                        }
+                    }
+                }
+                best
+            }
+            Placement::DataParallel { devices } => {
+                // After the all-reduce every device holds the full
+                // histogram and finds the identical best split.
+                let split = find_best_split_range(
+                    &devices[0],
+                    hist,
+                    features,
+                    0,
+                    features.len(),
+                    node_g,
+                    node_h,
+                    count,
+                    params,
+                    constraints,
+                );
+                let cells = features.len() * hist.d * hist.bins;
+                for dev in &devices[1..] {
+                    // lint:allow(sanitize): replica of the lead's split search, whose batched kernels trace_split_level replays
+                    dev.charge_kernel(
+                        "split_eval_replicated",
+                        Phase::SplitEval,
+                        &KernelCost::streaming(cells as f64 * 10.0, (cells * 16) as f64),
+                    );
+                }
+                self.reduce_bytes += hist.g.len() * 2 * 8;
+                split
+            }
+        }
+    }
+
+    /// Route one split node's instances by `flags` (`true` → left).
+    pub(crate) fn route(&mut self, split: &SplitCandidate, flags: &[bool]) {
+        let n = flags.len();
+        match self.placement {
+            Placement::Single(device) => {
+                self.partition_elems += n;
+                crate::sanitize::trace_partition(device, flags);
+            }
+            Placement::FeatureParallel { devices, ranges } => {
+                // The owning device computes the routing flags; the
+                // level's bitmaps are exchanged in one all-gather and
+                // every device partitions its replicated index list.
+                let owner = ranges
+                    .iter()
+                    .position(|&(lo, hi)| (lo..hi).contains(&(split.feature as usize)))
+                    .expect("split feature must belong to a device");
+                self.flag_elems[owner] += n;
+                self.flag_bytes[owner] += n.div_ceil(8);
+                self.partition_elems += n;
+                crate::sanitize::trace_partition(&devices[owner], flags);
+            }
+            Placement::DataParallel { devices } => {
+                crate::sanitize::trace_partition(&devices[0], flags);
+                let per_shard = n / devices.len();
+                for dev in devices.iter() {
+                    dev.charge_kernel(
+                        "partition_shard",
+                        Phase::Partition,
+                        &KernelCost {
+                            flops: 3.0 * per_shard as f64,
+                            dram_bytes: (per_shard * 17) as f64,
+                            launches: 2.0,
+                            ..Default::default()
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    /// Level end: the single device flushes its batched kernels; a
+    /// group runs the level's collectives and joins (a barrier, or
+    /// with streams a clock alignment that lets the collective's tail
+    /// overlap the next level's builds).
+    pub(crate) fn end_level(&mut self, segments_c: f64) {
+        let mut partial: Option<Event> = None;
+        let devices = match self.placement {
+            Placement::Single(device) => {
+                if let Some(mut hist) = self.hist.take() {
+                    hist.flush(device);
+                }
+                self.split
+                    .flush(device, device.model().params.sm_count, segments_c);
+                charge_partition_level(device, self.partition_elems);
+                self.partition_elems = 0;
+                return;
+            }
+            Placement::FeatureParallel { devices, .. } => {
+                if self.searched > 0 && devices.len() > 1 {
+                    // Candidates are tiny summary statistics: routing
+                    // waits the full exchange before picking winners.
+                    if let Some((done, _)) = self.all_gather(devices, &self.candidate_bytes) {
+                        for dev in devices.iter() {
+                            dev.wait_event(0, done);
+                        }
+                    }
+                }
+                for (dev, &flags) in devices.iter().zip(&self.flag_elems) {
+                    if flags > 0 {
+                        // lint:allow(sanitize): flag evaluation is the read half of the partition kernel traced by trace_partition
                         dev.charge_kernel(
-                            "grad_hess",
-                            Phase::Gradient,
-                            &KernelCost::streaming(
-                                n as f64 * d as f64 * loss.flops_per_output(),
-                                (n * d * 16) as f64,
-                            ),
+                            "compute_flags_level",
+                            Phase::Partition,
+                            &KernelCost::streaming(flags as f64, (flags * 5) as f64),
                         );
                     }
-                    g
-                };
-                // Sketch once per tree: device 0 selects, the plan is
-                // broadcast, every device applies locally.
-                let (grads, full_for_refit) = if self.config.sketch.is_none() {
-                    (grads_full, None)
-                } else {
-                    let sketched = self.sketch_round(&group, &grads_full, t, n);
-                    (sketched, Some(grads_full))
-                };
-
-                let mut tree = Tree::new(grads.d);
-                let mut leaf_assignments: Vec<(Vec<u32>, Vec<f32>)> = Vec::new();
-                let mut leaf_nodes: Vec<usize> = Vec::new();
-                let root_idx: Vec<u32> = (0..n as u32).collect();
-                let (rg, rh) = grads.sums(&root_idx);
-                let mut frontier = vec![(0usize, root_idx, rg, rh)];
-                // Streamed mode: builds of each level start at the previous
-                // level's alignment fence plus the first chunk of any
-                // in-flight collective — the collective's tail overlaps them.
-                let mut level_fence: Option<Event> = None;
-
-                for depth in 0..self.config.max_depth {
-                    let _level_scope = group.device(0).prof_scope("level", Some(depth as u64));
-                    if streamed {
-                        for dev in group.devices() {
-                            let f = match level_fence {
-                                Some(f) => f,
-                                None => dev.record_event(0),
-                            };
-                            dev.wait_event(HIST_STREAM, f);
-                        }
-                    }
-                    // --- pass 1: histograms + local candidates per node ---
-                    // Candidates for the whole level are exchanged in ONE
-                    // all-gather (summary statistics only), not per node.
-                    let mut pending: Vec<PendingNode> = Vec::new();
-                    let mut candidate_payload: Vec<Vec<u8>> = vec![Vec::new(); group.len()];
-                    for (tree_node, instances, node_g, node_h) in frontier {
-                        if instances.len() < 2 * self.config.min_instances {
-                            let v = leaf_values(
-                                &node_g,
-                                &node_h,
-                                self.config.lambda,
-                                self.config.learning_rate,
-                            );
-                            tree.set_leaf(tree_node, v.clone());
-                            leaf_nodes.push(tree_node);
-                            leaf_assignments.push((instances, v));
-                            continue;
-                        }
-
-                        // Per-device histogram build over its feature range:
-                        // charge each device for exactly its share.
-                        hist.reset();
-                        let mut hist_events: Vec<Option<Event>> = vec![None; group.len()];
-                        for (rank, (dev, &(lo, hi))) in
-                            group.devices().iter().zip(&ranges).enumerate()
-                        {
-                            if lo == hi {
-                                continue;
-                            }
-                            let ctx = HistContext {
-                                device: dev,
-                                data: &binned,
-                                grads: &grads,
-                                features: &features[lo..hi],
-                                bins: self.config.max_bins,
-                                opts: self.config.hist,
-                            };
-                            let method = match self.config.hist.method {
-                                HistogramMethod::Adaptive => {
-                                    adaptive::select_method(&ctx, instances.len())
-                                }
-                                mtd => mtd,
-                            };
-                            match method {
-                                HistogramMethod::GlobalMemory => {
-                                    gmem::charge_on(&ctx, &instances, hist_stream)
-                                }
-                                HistogramMethod::SharedMemory => {
-                                    smem::charge_on(&ctx, &instances, hist_stream)
-                                }
-                                HistogramMethod::SortReduce => {
-                                    sortreduce::charge_on(&ctx, &instances, hist_stream)
-                                }
-                                HistogramMethod::Adaptive => unreachable!(),
-                            }
-                            *hist_methods.entry(method).or_insert(0) += 1;
-                            if streamed {
-                                hist_events[rank] = Some(dev.record_event(HIST_STREAM));
-                            }
-                        }
-                        // Functional accumulation once (identical results).
-                        let full_ctx = HistContext {
-                            device: group.device(0),
-                            data: &binned,
-                            grads: &grads,
-                            features: &features,
-                            bins: self.config.max_bins,
-                            opts: self.config.hist,
-                        };
-                        accumulate_dense(&full_ctx, &instances, &mut hist);
-
-                        // Local best split per device: each device evaluates
-                        // only its own feature range, so it fences only its
-                        // own fresh build (the cross-device join is the
-                        // candidate all-gather below).
-                        let locals: Vec<Option<SplitCandidate>> = group
-                            .devices()
-                            .iter()
-                            .zip(&ranges)
-                            .zip(&hist_events)
-                            .map(|((dev, &(lo, hi)), built)| {
-                                if let Some(built) = built {
-                                    dev.wait_event(0, *built);
-                                }
-                                find_best_split_range(
-                                    dev,
-                                    &hist,
-                                    &features,
-                                    lo,
-                                    hi,
-                                    &node_g,
-                                    &node_h,
-                                    instances.len() as u32,
-                                    &params,
-                                )
-                            })
-                            .collect();
-                        for (payload, c) in candidate_payload.iter_mut().zip(&locals) {
-                            payload.extend(std::iter::repeat_n(
-                                0u8,
-                                16 + c.as_ref().map_or(0, |c| c.left_g.len() * 16),
-                            ));
-                        }
-                        // Global winner: strictly-greater gain wins, so exact
-                        // ties resolve to the lowest feature range — matching
-                        // the single-device global argmax tie-breaking.
-                        let mut best: Option<SplitCandidate> = None;
-                        for c in locals.into_iter().flatten() {
-                            if best.as_ref().is_none_or(|b| c.gain > b.gain) {
-                                best = Some(c);
-                            }
-                        }
-                        pending.push((tree_node, instances, node_g, node_h, best));
-                    }
-                    if !pending.is_empty() && group.len() > 1 {
-                        let max_part = candidate_payload.iter().map(Vec::len).max().unwrap_or(0);
-                        tel_collective_bytes(group.devices(), (max_part * group.len()) as f64);
-                        if streamed {
-                            // Candidates are tiny summary statistics: pass 2
-                            // waits the full exchange before picking winners.
-                            let ns = group
-                                .device(0)
-                                .model()
-                                .all_gather_ns(max_part as f64, group.len());
-                            let fence = align_stream0(group.devices());
-                            let done =
-                                streamed_collective(group.devices(), "all_gather", ns, fence);
-                            for dev in group.devices() {
-                                dev.wait_event(0, done);
-                            }
-                        } else {
-                            let _ = group.all_gather_bytes(&candidate_payload);
-                        }
-                    }
-
-                    // --- pass 2: winners, routing bitmaps, partitions ------
-                    let mut next = Vec::new();
-                    let mut flag_payload: Vec<Vec<u8>> = vec![Vec::new(); group.len()];
-                    let mut flag_elems = vec![0usize; group.len()];
-                    let mut partition_elems = 0usize;
-                    for (tree_node, instances, node_g, node_h, best) in pending {
-                        let Some(split) = best else {
-                            let v = leaf_values(
-                                &node_g,
-                                &node_h,
-                                self.config.lambda,
-                                self.config.learning_rate,
-                            );
-                            tree.set_leaf(tree_node, v.clone());
-                            leaf_nodes.push(tree_node);
-                            leaf_assignments.push((instances, v));
-                            continue;
-                        };
-
-                        // The owning device computes the routing flags; the
-                        // bitmaps of the whole level are exchanged in one
-                        // all-gather below, and the flag/partition kernels
-                        // are charged level-batched.
-                        let owner = ranges
-                            .iter()
-                            .position(|&(lo, hi)| {
-                                (split.feature as usize) >= lo && (split.feature as usize) < hi
-                            })
-                            .expect("split feature must belong to a device");
-                        let col = binned.bins.col(split.feature as usize);
-                        let flags: Vec<bool> = instances
-                            .iter()
-                            .map(|&i| col[i as usize] <= split.bin)
-                            .collect();
-                        flag_elems[owner] += instances.len();
-                        flag_payload[owner]
-                            .extend(std::iter::repeat_n(0u8, instances.len().div_ceil(8)));
-
-                        // Every device partitions its (replicated) index list.
-                        partition_elems += instances.len();
-                        crate::sanitize::trace_partition(&group.devices()[owner], &flags);
-                        let (left_idx, right_idx) = partition_stable(&instances, &flags);
-
-                        let threshold = binned.cuts.threshold(split.feature as usize, split.bin);
-                        let (l, r) =
-                            tree.split_node(tree_node, split.feature, split.bin, threshold);
-                        let right_g: Vec<f64> = node_g
-                            .iter()
-                            .zip(&split.left_g)
-                            .map(|(a, b)| a - b)
-                            .collect();
-                        let right_h: Vec<f64> = node_h
-                            .iter()
-                            .zip(&split.left_h)
-                            .map(|(a, b)| a - b)
-                            .collect();
-                        next.push((l, left_idx, split.left_g, split.left_h));
-                        next.push((r, right_idx, right_g, right_h));
-                    }
-                    // Level-batched flag + partition kernel charges.
-                    for (i, dev) in group.devices().iter().enumerate() {
-                        if flag_elems[i] > 0 {
-                            dev.charge_kernel(
-                                "compute_flags_level",
-                                Phase::Partition,
-                                &KernelCost::streaming(
-                                    flag_elems[i] as f64,
-                                    (flag_elems[i] * 5) as f64,
-                                ),
-                            );
-                        }
-                        if partition_elems > 0 {
-                            dev.charge_kernel(
-                                "partition_level",
-                                Phase::Partition,
-                                &KernelCost {
-                                    flops: 3.0 * partition_elems as f64,
-                                    dram_bytes: (partition_elems * 17) as f64,
-                                    launches: 2.0,
-                                    ..Default::default()
-                                },
-                            );
-                        }
-                    }
+                    charge_partition_level(dev, self.partition_elems);
+                }
+                if devices.len() > 1 && self.flag_bytes.iter().any(|&b| b > 0) {
                     // Routing bitmaps feed the next level's builds: the
                     // exchange's tail overlaps them (first-chunk fence).
-                    let mut comm_partial: Option<Event> = None;
-                    if group.len() > 1 && flag_payload.iter().any(|p| !p.is_empty()) {
-                        let max_part = flag_payload.iter().map(Vec::len).max().unwrap_or(0);
-                        tel_collective_bytes(group.devices(), (max_part * group.len()) as f64);
-                        if streamed {
-                            let ns = group
-                                .device(0)
-                                .model()
-                                .all_gather_ns(max_part as f64, group.len());
-                            let fence = align_stream0(group.devices());
-                            let done =
-                                streamed_collective(group.devices(), "all_gather", ns, fence);
-                            comm_partial = Some(done.offset_ns(-ns * (1.0 - 1.0 / COMM_CHUNKS)));
-                        } else {
-                            let _ = group.all_gather_bytes(&flag_payload);
+                    partial = self
+                        .all_gather(devices, &self.flag_bytes)
+                        .map(|(done, ns)| first_chunk(done, ns));
+                }
+                devices
+            }
+            Placement::DataParallel { devices } => {
+                // One ring all-reduce per node's histogram, batched as a
+                // single level-wide collective.
+                let k = devices.len();
+                if k > 1 && self.reduce_bytes > 0 {
+                    let bytes = self.reduce_bytes as f64;
+                    tel_collective_bytes(devices, bytes);
+                    let ns = devices[0].model().ring_all_reduce_ns(bytes, k);
+                    if self.streamed() {
+                        // The collective enters when the slowest rank's
+                        // builds finish and drains on the comm engines
+                        // while stream 0 proceeds.
+                        let fence = builds_done(devices);
+                        let done = streamed_collective(devices, "hist_all_reduce", ns, fence);
+                        partial = Some(first_chunk(done, ns));
+                    } else {
+                        for dev in devices.iter() {
+                            dev.charge_ns("hist_all_reduce", Phase::Comm, ns);
                         }
                     }
-                    if streamed {
-                        let align = align_stream0(group.devices());
-                        level_fence = Some(comm_partial.map_or(align, |p| align.max(p)));
-                    } else {
-                        group.barrier();
-                    }
-                    frontier = next;
-                    if frontier.is_empty() {
-                        break;
-                    }
                 }
-                for (tree_node, instances, node_g, node_h) in frontier {
-                    let v = leaf_values(
-                        &node_g,
-                        &node_h,
-                        self.config.lambda,
-                        self.config.learning_rate,
-                    );
-                    tree.set_leaf(tree_node, v.clone());
-                    leaf_nodes.push(tree_node);
-                    leaf_assignments.push((instances, v));
-                }
-                // Sketched structure, full-output leaves: one gather-reduce
-                // pass over the complete gradients per leaf.
-                let (tree, leaf_assignments) = if let Some(full) = &full_for_refit {
-                    self.refit_round(&group, tree, leaf_assignments, leaf_nodes, full, n)
-                } else {
-                    (tree, leaf_assignments)
-                };
-
-                // Replicated incremental score update on every device.
-                for (i, dev) in group.devices().iter().enumerate() {
-                    if i == 0 {
-                        update_scores_from_leaves(dev, &mut scores, d, &leaf_assignments);
-                    } else {
-                        let touched: usize = leaf_assignments.iter().map(|(v, _)| v.len()).sum();
-                        dev.charge_kernel(
-                            "update_scores",
-                            Phase::Predict,
-                            &KernelCost::streaming(
-                                (touched * d) as f64,
-                                (touched * d * 8 + leaf_assignments.len() * d * 4) as f64,
-                            ),
-                        );
-                    }
-                }
-                if !faults_on {
-                    break tree;
-                }
-                match self.recover_step(&mut active, &mut attempts, t)? {
-                    StepVerdict::Commit => break tree,
-                    StepVerdict::Retry => {}
-                    StepVerdict::Degraded => {
-                        // Survivors take over the lost device's columns:
-                        // charge the ingest of the shifted partition before
-                        // re-running the round.
-                        let regrouped = DeviceGroup::from_devices(active.clone());
-                        let new_ranges = partition_features(m, regrouped.len());
-                        charge_fp_preprocess(&regrouped, n, &new_ranges);
-                    }
-                }
-                let (saved_scores, saved_methods) =
-                    saved.as_ref().expect("snapshot exists when faults are on");
-                scores.copy_from_slice(saved_scores);
-                hist_methods = saved_methods.clone();
-            };
-            trees.push(committed);
-        }
-        // Clock spread is only visible before the final barrier joins
-        // every stream to the group makespan.
-        tel_makespan_skew(&active);
-        DeviceGroup::from_devices(active.clone()).barrier();
-
-        let model = Model {
-            trees,
-            base,
-            d,
-            task: ds.task(),
-            config: self.config.clone(),
+                devices
+            }
         };
-        // Group time = slowest device (they are barrier-aligned); report
-        // the surviving lead's phase breakdown as representative.
-        let lead = &active[0];
-        let lead_pos = self
-            .group
-            .devices()
-            .iter()
-            .position(|dv| Arc::ptr_eq(dv, lead))
-            .expect("lead device comes from the original group");
-        let sim = lead.summary().since(&start_summaries[lead_pos]);
-        Ok(TrainReport {
-            sim_seconds: sim.total_ns * 1e-9,
-            host_seconds: host_start.elapsed().as_secs_f64(),
-            sim,
-            model,
-            hist_methods,
-        })
+        if self.streamed() {
+            let align = align_stream0(devices);
+            self.fence = Some(partial.map_or(align, |p| align.max(p)));
+        } else {
+            DeviceGroup::from_devices(devices.to_vec()).barrier();
+        }
+        self.searched = 0;
+        self.partition_elems = 0;
+        self.reduce_bytes = 0;
+        for v in [
+            &mut self.candidate_bytes,
+            &mut self.flag_bytes,
+            &mut self.flag_elems,
+        ] {
+            v.fill(0);
+        }
     }
 
-    /// Data-parallel training: instances sharded per device, per-level
-    /// ring all-reduce of the full multi-output histogram. The model is
-    /// bit-identical to single-device training; only the cost profile
-    /// differs (gradients ÷ k, histograms ÷ k, but `m×B×d×2` doubles of
-    /// collective traffic per node).
-    fn fit_data_parallel(&self, ds: &Dataset) -> Result<TrainReport, TrainError> {
-        let host_start = Instant::now();
-        let n = ds.n();
-        let d = ds.d();
-        let m = ds.m();
-        let start_summaries: Vec<_> = self.group.devices().iter().map(|dv| dv.summary()).collect();
-        let mut active: Vec<Arc<Device>> = self.group.devices().to_vec();
-        let faults_on = active.iter().any(|dv| dv.fault_injector().is_some());
-        let streamed = self.config.streams > 1;
-        let hist_stream = if streamed { HIST_STREAM } else { 0 };
-
-        // Each device holds all columns of its instance shard.
-        let mut attempts = 0u32;
-        loop {
-            let group = DeviceGroup::from_devices(active.clone());
-            charge_dp_preprocess(&group, n, m);
-            if !faults_on {
-                break;
-            }
-            match self.recover_step(&mut active, &mut attempts, usize::MAX)? {
-                StepVerdict::Commit => break,
-                StepVerdict::Retry | StepVerdict::Degraded => {}
-            }
+    /// All-gather per-device `payload` byte counts. Streamed: booked on
+    /// the comm streams, returning its completion event and duration;
+    /// otherwise a synchronizing collective on the default stream.
+    fn all_gather(&self, devices: &[Arc<Device>], payload: &[usize]) -> Option<(Event, f64)> {
+        let max_part = payload.iter().copied().max().unwrap_or(0);
+        tel_collective_bytes(devices, (max_part * devices.len()) as f64);
+        if self.streamed() {
+            let ns = devices[0]
+                .model()
+                .all_gather_ns(max_part as f64, devices.len());
+            let fence = align_stream0(devices);
+            Some((streamed_collective(devices, "all_gather", ns, fence), ns))
+        } else {
+            let parts: Vec<Vec<u8>> = payload.iter().map(|&b| vec![0u8; b]).collect();
+            let _ = DeviceGroup::from_devices(devices.to_vec()).all_gather_bytes(&parts);
+            None
         }
-        let binned = BinnedDataset::build(ds.features(), self.config.max_bins);
-        let features: Vec<u32> = (0..m as u32).collect();
-        let base = base_scores(ds);
-        let mut scores = vec![0.0f32; n * d];
-        for row in scores.chunks_mut(d) {
-            row.copy_from_slice(&base);
-        }
-        let loss = loss_for_task(ds.task());
-        let params = SplitParams {
-            lambda: self.config.lambda,
-            min_gain: self.config.min_gain,
-            min_instances: self.config.min_instances,
-            segments_c: self.config.segments_per_block_c,
-        };
-        // Structure search — and, crucially here, the ring all-reduce
-        // payload — shrink from d to the sketch's effective dimension.
-        let d_eff = self.config.sketch.effective_dim(d);
-        let hist_len = m * self.config.max_bins * d_eff * 2;
-        let mut trees = Vec::with_capacity(self.config.num_trees);
-        let mut hist_methods: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
-        let mut hist = NodeHistogram::new(m, d_eff, self.config.max_bins);
-
-        for t in 0..self.config.num_trees {
-            let saved = faults_on.then(|| (scores.clone(), hist_methods.clone()));
-            let mut attempts = 0u32;
-            let committed = loop {
-                let group = DeviceGroup::from_devices(active.clone());
-                let k = group.len();
-                let _round_scope = group.device(0).prof_scope("round", Some(t as u64));
-                // Gradients: each device computes its own shard only.
-                let grads_full = {
-                    let g = compute_gradients(
-                        group.device(0),
-                        loss.as_ref(),
-                        &scores,
-                        ds.targets(),
-                        n,
-                        d,
-                    );
-                    // Rescale the lead's charge to a shard and mirror it on
-                    // the replica ranks.
-                    for (rank, dev) in group.devices().iter().enumerate() {
-                        if rank != 0 {
-                            dev.charge_kernel(
-                                "grad_hess_shard",
-                                Phase::Gradient,
-                                &KernelCost::streaming(
-                                    (n / k) as f64 * d as f64 * loss.flops_per_output(),
-                                    ((n / k) * d * 16) as f64,
-                                ),
-                            );
-                        }
-                    }
-                    g
-                };
-                // Sketch once per tree: device 0 selects, the plan is
-                // broadcast, every device gathers/projects its shard.
-                let (grads, full_for_refit) = if self.config.sketch.is_none() {
-                    (grads_full, None)
-                } else {
-                    let sketched = self.sketch_round(&group, &grads_full, t, n / k);
-                    (sketched, Some(grads_full))
-                };
-
-                let mut tree = Tree::new(grads.d);
-                let mut leaf_assignments: Vec<(Vec<u32>, Vec<f32>)> = Vec::new();
-                let mut leaf_nodes: Vec<usize> = Vec::new();
-                let root_idx: Vec<u32> = (0..n as u32).collect();
-                let (rg, rh) = grads.sums(&root_idx);
-                let mut frontier = vec![(0usize, root_idx, rg, rh)];
-                // Streamed mode: each level's fresh builds start at the
-                // previous level's alignment fence plus the first reduced
-                // chunk of the in-flight all-reduce, whose tail they overlap.
-                let mut level_fence: Option<Event> = None;
-
-                for depth in 0..self.config.max_depth {
-                    let _level_scope = group.device(0).prof_scope("level", Some(depth as u64));
-                    if streamed {
-                        for dev in group.devices() {
-                            let f = match level_fence {
-                                Some(f) => f,
-                                None => dev.record_event(0),
-                            };
-                            dev.wait_event(HIST_STREAM, f);
-                        }
-                    }
-                    let mut next = Vec::new();
-                    let mut reduced_nodes = 0usize;
-                    for (tree_node, instances, node_g, node_h) in frontier {
-                        if instances.len() < 2 * self.config.min_instances {
-                            let v = leaf_values(
-                                &node_g,
-                                &node_h,
-                                self.config.lambda,
-                                self.config.learning_rate,
-                            );
-                            tree.set_leaf(tree_node, v.clone());
-                            leaf_nodes.push(tree_node);
-                            leaf_assignments.push((instances, v));
-                            continue;
-                        }
-                        // Partial histograms: every device runs the kernel
-                        // over its 1/k shard of the node, all features.
-                        for (rank, dev) in group.devices().iter().enumerate() {
-                            let shard_len =
-                                instances.len() / k + usize::from(rank < instances.len() % k);
-                            let lo = rank * (instances.len() / k) + rank.min(instances.len() % k);
-                            let shard = &instances[lo..(lo + shard_len).min(instances.len())];
-                            if shard.is_empty() {
-                                continue;
-                            }
-                            let ctx = HistContext {
-                                device: dev,
-                                data: &binned,
-                                grads: &grads,
-                                features: &features,
-                                bins: self.config.max_bins,
-                                opts: self.config.hist,
-                            };
-                            let method = match self.config.hist.method {
-                                HistogramMethod::Adaptive => {
-                                    adaptive::select_method(&ctx, shard.len())
-                                }
-                                mtd => mtd,
-                            };
-                            match method {
-                                HistogramMethod::GlobalMemory => {
-                                    gmem::charge_on(&ctx, shard, hist_stream)
-                                }
-                                HistogramMethod::SharedMemory => {
-                                    smem::charge_on(&ctx, shard, hist_stream)
-                                }
-                                HistogramMethod::SortReduce => {
-                                    sortreduce::charge_on(&ctx, shard, hist_stream)
-                                }
-                                HistogramMethod::Adaptive => unreachable!(),
-                            }
-                            *hist_methods.entry(method).or_insert(0) += 1;
-                        }
-                        if streamed {
-                            // Split evaluation is replicated and consumes the
-                            // reduced histogram of every shard: join split
-                            // work on the slowest rank's fresh build.
-                            let mut built = Event::at_ns(0.0);
-                            for dev in group.devices() {
-                                built = built.max(dev.record_event(HIST_STREAM));
-                            }
-                            for dev in group.devices() {
-                                dev.wait_event(0, built);
-                            }
-                        }
-                        // Functional accumulation once (sum of all shards).
-                        let full_ctx = HistContext {
-                            device: group.device(0),
-                            data: &binned,
-                            grads: &grads,
-                            features: &features,
-                            bins: self.config.max_bins,
-                            opts: self.config.hist,
-                        };
-                        hist.reset();
-                        accumulate_dense(&full_ctx, &instances, &mut hist);
-                        reduced_nodes += 1;
-
-                        // After the all-reduce every device holds the full
-                        // histogram and finds the identical best split.
-                        let split = find_best_split_range(
-                            group.device(0),
-                            &hist,
-                            &features,
-                            0,
-                            m,
-                            &node_g,
-                            &node_h,
-                            instances.len() as u32,
-                            &params,
-                        );
-                        for dev in &group.devices()[1..] {
-                            // Redundant split evaluation on every device.
-                            dev.charge_kernel(
-                                "split_eval_replicated",
-                                Phase::SplitEval,
-                                &KernelCost::streaming(
-                                    (m * grads.d * self.config.max_bins) as f64 * 10.0,
-                                    (m * grads.d * self.config.max_bins * 16) as f64,
-                                ),
-                            );
-                        }
-
-                        let Some(split) = split else {
-                            let v = leaf_values(
-                                &node_g,
-                                &node_h,
-                                self.config.lambda,
-                                self.config.learning_rate,
-                            );
-                            tree.set_leaf(tree_node, v.clone());
-                            leaf_nodes.push(tree_node);
-                            leaf_assignments.push((instances, v));
-                            continue;
-                        };
-                        let col = binned.bins.col(split.feature as usize);
-                        let flags: Vec<bool> = instances
-                            .iter()
-                            .map(|&i| col[i as usize] <= split.bin)
-                            .collect();
-                        crate::sanitize::trace_partition(&group.devices()[0], &flags);
-                        let (left_idx, right_idx) = partition_stable(&instances, &flags);
-                        for dev in group.devices() {
-                            dev.charge_kernel(
-                                "partition_shard",
-                                Phase::Partition,
-                                &KernelCost {
-                                    flops: 3.0 * (instances.len() / k) as f64,
-                                    dram_bytes: ((instances.len() / k) * 17) as f64,
-                                    launches: 2.0,
-                                    ..Default::default()
-                                },
-                            );
-                        }
-                        let threshold = binned.cuts.threshold(split.feature as usize, split.bin);
-                        let (l, r) =
-                            tree.split_node(tree_node, split.feature, split.bin, threshold);
-                        let right_g: Vec<f64> = node_g
-                            .iter()
-                            .zip(&split.left_g)
-                            .map(|(a, b)| a - b)
-                            .collect();
-                        let right_h: Vec<f64> = node_h
-                            .iter()
-                            .zip(&split.left_h)
-                            .map(|(a, b)| a - b)
-                            .collect();
-                        next.push((l, left_idx, split.left_g, split.left_h));
-                        next.push((r, right_idx, right_g, right_h));
-                    }
-                    // One ring all-reduce per node's histogram, batched as a
-                    // single level-wide collective of `reduced_nodes` payloads.
-                    let mut comm_partial: Option<Event> = None;
-                    if k > 1 && reduced_nodes > 0 {
-                        let bytes = reduced_nodes * hist_len * 8;
-                        tel_collective_bytes(group.devices(), bytes as f64);
-                        let ns = group.device(0).model().ring_all_reduce_ns(bytes as f64, k);
-                        if streamed {
-                            // The collective enters when the slowest rank's
-                            // builds finish and drains on the comm engines
-                            // while stream 0 proceeds.
-                            let mut fence = Event::at_ns(0.0);
-                            for dev in group.devices() {
-                                fence = fence.max(dev.record_event(HIST_STREAM));
-                            }
-                            let done =
-                                streamed_collective(group.devices(), "hist_all_reduce", ns, fence);
-                            comm_partial = Some(done.offset_ns(-ns * (1.0 - 1.0 / COMM_CHUNKS)));
-                        } else {
-                            for dev in group.devices() {
-                                dev.charge_ns("hist_all_reduce", Phase::Comm, ns);
-                            }
-                        }
-                    }
-                    if streamed {
-                        let align = align_stream0(group.devices());
-                        level_fence = Some(comm_partial.map_or(align, |p| align.max(p)));
-                    } else {
-                        group.barrier();
-                    }
-                    frontier = next;
-                    if frontier.is_empty() {
-                        break;
-                    }
-                }
-                for (tree_node, instances, node_g, node_h) in frontier {
-                    let v = leaf_values(
-                        &node_g,
-                        &node_h,
-                        self.config.lambda,
-                        self.config.learning_rate,
-                    );
-                    tree.set_leaf(tree_node, v.clone());
-                    leaf_nodes.push(tree_node);
-                    leaf_assignments.push((instances, v));
-                }
-                // Sketched structure, full-output leaves: refit on device 0,
-                // shard-sized mirror charges on the replicas.
-                let (tree, leaf_assignments) = if let Some(full) = &full_for_refit {
-                    self.refit_round(&group, tree, leaf_assignments, leaf_nodes, full, n / k)
-                } else {
-                    (tree, leaf_assignments)
-                };
-                for (rank, dev) in group.devices().iter().enumerate() {
-                    if rank == 0 {
-                        update_scores_from_leaves(dev, &mut scores, d, &leaf_assignments);
-                    } else {
-                        let touched: usize =
-                            leaf_assignments.iter().map(|(v, _)| v.len()).sum::<usize>() / k;
-                        dev.charge_kernel(
-                            "update_scores_shard",
-                            Phase::Predict,
-                            &KernelCost::streaming((touched * d) as f64, (touched * d * 8) as f64),
-                        );
-                    }
-                }
-                if !faults_on {
-                    break tree;
-                }
-                match self.recover_step(&mut active, &mut attempts, t)? {
-                    StepVerdict::Commit => break tree,
-                    StepVerdict::Retry => {}
-                    StepVerdict::Degraded => {
-                        // Survivors absorb the lost device's instance shard:
-                        // charge the re-shard ingest before re-running.
-                        charge_dp_preprocess(&DeviceGroup::from_devices(active.clone()), n, m);
-                    }
-                }
-                let (saved_scores, saved_methods) =
-                    saved.as_ref().expect("snapshot exists when faults are on");
-                scores.copy_from_slice(saved_scores);
-                hist_methods = saved_methods.clone();
-            };
-            trees.push(committed);
-        }
-        // Clock spread is only visible before the final barrier joins
-        // every stream to the group makespan.
-        tel_makespan_skew(&active);
-        DeviceGroup::from_devices(active.clone()).barrier();
-
-        let model = Model {
-            trees,
-            base,
-            d,
-            task: ds.task(),
-            config: self.config.clone(),
-        };
-        let lead = &active[0];
-        let lead_pos = self
-            .group
-            .devices()
-            .iter()
-            .position(|dv| Arc::ptr_eq(dv, lead))
-            .expect("lead device comes from the original group");
-        let sim = lead.summary().since(&start_summaries[lead_pos]);
-        Ok(TrainReport {
-            sim_seconds: sim.total_ns * 1e-9,
-            host_seconds: host_start.elapsed().as_secs_f64(),
-            sim,
-            model,
-            hist_methods,
-        })
     }
 }
 
@@ -1296,9 +1131,7 @@ impl MultiGpuTrainer {
 mod tests {
     use super::*;
     use crate::metrics::accuracy;
-    use crate::trainer::GpuTrainer;
     use gbdt_data::synth::{make_classification, ClassificationSpec};
-    use gpusim::Device;
 
     fn dataset(seed: u64) -> Dataset {
         make_classification(&ClassificationSpec {
@@ -1347,26 +1180,33 @@ mod tests {
     }
 
     #[test]
+    fn data_parallel_rejects_the_knobs_it_cannot_honour() {
+        let mut subtraction = quick_config();
+        subtraction.hist.subtraction = true;
+        let goss = TrainConfig {
+            goss: Some(crate::config::GossConfig::default_rates()),
+            ..quick_config()
+        };
+        for (cfg, knob) in [(subtraction, "subtraction"), (goss, "goss")] {
+            let err = MultiGpuTrainer::try_with_strategy(
+                DeviceGroup::rtx4090s(2),
+                cfg.clone(),
+                MultiGpuStrategy::DataParallel,
+            )
+            .err()
+            .unwrap_or_else(|| panic!("data-parallel accepted {knob}"));
+            assert!(err.message().contains(knob), "{err}");
+            assert!(MultiGpuTrainer::try_new(DeviceGroup::rtx4090s(2), cfg).is_ok());
+        }
+    }
+
+    #[test]
     fn partition_features_covers_everything() {
         let parts = partition_features(10, 3);
         assert_eq!(parts, vec![(0, 4), (4, 7), (7, 10)]);
         let parts = partition_features(2, 4);
         assert_eq!(parts.iter().map(|(a, b)| b - a).sum::<usize>(), 2);
         assert_eq!(partition_features(0, 2), vec![(0, 0), (0, 0)]);
-    }
-
-    #[test]
-    fn multi_gpu_model_matches_single_gpu_model() {
-        // Feature-parallel training is algorithmically exact: the same
-        // splits must be found regardless of the device count.
-        let ds = dataset(1);
-        let single = GpuTrainer::new(Device::rtx4090(), quick_config()).fit(&ds);
-        let dual = MultiGpuTrainer::new(DeviceGroup::rtx4090s(2), quick_config()).fit(&ds);
-        assert_eq!(
-            single.predict(ds.features()),
-            dual.predict(ds.features()),
-            "dual-GPU predictions must equal single-GPU"
-        );
     }
 
     #[test]
@@ -1418,23 +1258,6 @@ mod tests {
                 dev.id
             );
         }
-    }
-
-    #[test]
-    fn data_parallel_matches_single_gpu_model() {
-        let ds = dataset(6);
-        let single = GpuTrainer::new(Device::rtx4090(), quick_config()).fit(&ds);
-        let dp = MultiGpuTrainer::with_strategy(
-            DeviceGroup::rtx4090s(3),
-            quick_config(),
-            MultiGpuStrategy::DataParallel,
-        )
-        .fit(&ds);
-        assert_eq!(
-            single.predict(ds.features()),
-            dp.predict(ds.features()),
-            "data-parallel training must be an exact decomposition too"
-        );
     }
 
     #[test]

@@ -301,9 +301,13 @@ fn best_split_impl(
     })
 }
 
-/// Best split over a feature range, charging `device` for this node's
-/// own (unbatched) kernels. Multi-GPU devices use this per node; the
-/// single-device grower prefers [`find_best_split_batched`].
+/// Best split over the feature positions `f_lo..f_hi` of `features`
+/// (optionally under monotone constraints), charging `device` for this
+/// node's own unbatched scan/argmax kernels — even for an empty range.
+/// The multi-GPU placements search per node with it: feature-parallel
+/// devices each over their own column range, data-parallel on the lead
+/// over all columns. The single-device grower batches a level's
+/// searches instead ([`find_best_split_constrained`]).
 #[allow(clippy::too_many_arguments)]
 pub fn find_best_split_range(
     device: &Device,
@@ -315,9 +319,18 @@ pub fn find_best_split_range(
     node_h: &[f64],
     node_count: u32,
     params: &SplitParams,
+    constraints: Option<&ConstraintState<'_>>,
 ) -> Option<SplitCandidate> {
     let out = best_split_impl(
-        hist, features, f_lo, f_hi, node_g, node_h, node_count, params, None,
+        hist,
+        features,
+        f_lo,
+        f_hi,
+        node_g,
+        node_h,
+        node_count,
+        params,
+        constraints,
     );
     let mut acc = LevelSplitCharges::new();
     acc.add(f_hi - f_lo, hist.d, hist.bins);
@@ -345,6 +358,7 @@ pub fn find_best_split(
         node_h,
         node_count,
         params,
+        None,
     )
 }
 
@@ -563,10 +577,12 @@ mod tests {
             }
         }
         let p = params();
-        let none = find_best_split_range(&device, &hist, &[4, 9], 0, 1, &[0.0], &[8.0], 40, &p);
+        let none =
+            find_best_split_range(&device, &hist, &[4, 9], 0, 1, &[0.0], &[8.0], 40, &p, None);
         assert!(none.is_none());
-        let some = find_best_split_range(&device, &hist, &[4, 9], 1, 2, &[0.0], &[8.0], 40, &p)
-            .expect("feature 1 must split");
+        let some =
+            find_best_split_range(&device, &hist, &[4, 9], 1, 2, &[0.0], &[8.0], 40, &p, None)
+                .expect("feature 1 must split");
         assert_eq!(some.feature, 9);
     }
 

@@ -1,14 +1,17 @@
-//! The single-GPU training loop (paper Fig. 2): gradients → histograms
-//! → split selection → partition, per tree, fully device-charged.
+//! The training loop (paper Fig. 2): gradients → histograms → split
+//! selection → partition, per tree, fully device-charged — one loop for
+//! one device and for every multi-GPU placement
+//! ([`crate::multigpu`]).
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{ConfigError, HistogramMethod, TrainConfig};
 use crate::error::TrainError;
 use crate::grad::{compute_gradients, update_scores_from_leaves};
-use crate::grow::grow_tree_pooled;
+use crate::grow::grow_tree_placed;
 use crate::loss::loss_for_task;
 use crate::memory::HistogramPool;
 use crate::model::Model;
+use crate::multigpu::{Group, StepVerdict};
 use gbdt_data::{BinnedDataset, Dataset, Task};
 use gpusim::cost::KernelCost;
 use gpusim::{Device, LedgerSummary, Phase};
@@ -44,9 +47,9 @@ impl TrainReport {
     }
 }
 
-/// Validation curve produced by `fit_impl` when an eval split is
+/// Validation curve produced by [`fit_on`] when an eval split is
 /// supplied: per-round metric history plus the best iteration.
-type ValidationCurve = (Vec<f64>, usize);
+pub(crate) type ValidationCurve = (Vec<f64>, usize);
 
 /// Single-device GBDT-MO trainer.
 pub struct GpuTrainer {
@@ -212,391 +215,348 @@ impl GpuTrainer {
         valid: Option<(&Dataset, usize)>,
         custom_loss: Option<&dyn crate::loss::MultiOutputLoss>,
         resume: Option<&Checkpoint>,
-        mut checkpoints: Option<&mut Vec<Checkpoint>>,
+        checkpoints: Option<&mut Vec<Checkpoint>>,
     ) -> Result<(TrainReport, Option<ValidationCurve>), TrainError> {
-        let start_summary = self.device.summary();
-        let host_start = Instant::now();
-        let n = ds.n();
-        let d = ds.d();
-        let device = &*self.device;
-        // With no injector attached every poll is `Ok` and no snapshot
-        // is ever taken, so this path is bit-identical to a trainer
-        // without fault handling (regression-tested in tests/chaos.rs).
-        let faults_on = device.fault_injector().is_some();
-        let max_retries = self.config.retry.max_retries;
-        // Pure observer (like the profiler): metric updates below are
-        // host-side only, charge nothing, and never feed back — with
-        // `None` every telemetry block is skipped entirely, so attached
-        // vs. detached runs stay bit-identical (tests/telemetry.rs).
-        let tel = device.telemetry();
-
-        // --- preprocessing: upload + quantile binning (charged), with
-        // --- bounded retry on transient faults ------------------------
-        let mut prep_attempts = 0u32;
-        let binned = loop {
-            let prep_scope = device.prof_scope("preprocess", None);
-            let raw_bytes = (n * ds.m() * 4) as f64;
-            let copy_ns = device.model().host_copy_ns(raw_bytes);
-            let overlap_ingest = self.config.streams > 1;
-            let copy_done = if overlap_ingest {
-                // Ingest runs on a copy stream (engine work, no SM
-                // contention) and quantize pipelines one chunk behind
-                // it: the binning kernel starts once the first of 8
-                // copy chunks has landed, instead of after the full
-                // transfer. Charge order is identical to the serial
-                // schedule — only start timestamps move.
-                let copy = device.stream(1);
-                copy.wait_event(device.record_event(0));
-                let copy_start = copy.record_event();
-                copy.charge_ns("htod_features", Phase::Transfer, copy_ns);
-                device.wait_event(0, copy_start.offset_ns(copy_ns / 8.0));
-                Some(copy.record_event())
-            } else {
-                device.charge_ns("htod_features", Phase::Transfer, copy_ns);
-                None
-            };
-            let binned = BinnedDataset::build(ds.features(), self.config.max_bins);
-            device.charge_kernel(
-                "quantile_binning",
-                Phase::Binning,
-                &KernelCost::streaming((n * ds.m()) as f64 * 16.0, raw_bytes * 2.5),
-            );
-            crate::sanitize::trace_quantile_binning(device, n, ds.m(), self.config.max_bins);
-            if let Some(done) = copy_done {
-                // Everything after preprocessing reads the device-
-                // resident features: join the copy stream before the
-                // first gradient kernel can issue.
-                device.wait_event(0, done);
-            }
-            drop(prep_scope);
-            if !faults_on {
-                break binned;
-            }
-            match device.poll_fault() {
-                Ok(()) => break binned,
-                Err(fault) if fault.is_transient() && prep_attempts < max_retries => {
-                    prep_attempts += 1;
-                    if let Some(t) = &tel {
-                        t.counter_inc("train.faults_total");
-                        t.counter_inc("train.retries_total");
-                    }
-                }
-                Err(fault) if fault.is_transient() => {
-                    let err = TrainError::RetriesExhausted {
-                        round: usize::MAX,
-                        attempts: prep_attempts,
-                        fault,
-                    };
-                    if let Some(t) = &tel {
-                        t.counter_inc("train.faults_total");
-                        t.record_postmortem(&err.to_string());
-                    }
-                    return Err(err);
-                }
-                Err(fault) => {
-                    let err = TrainError::DeviceLost {
-                        round: usize::MAX,
-                        fault,
-                    };
-                    if let Some(t) = &tel {
-                        t.counter_inc("train.faults_total");
-                        t.record_postmortem(&err.to_string());
-                    }
-                    return Err(err);
-                }
-            }
-        };
-
-        // --- base scores ----------------------------------------------
-        let base = base_scores(ds);
-        let mut scores = vec![0.0f32; n * d];
-        for row in scores.chunks_mut(d) {
-            row.copy_from_slice(&base);
-        }
-
-        let default_loss = loss_for_task(ds.task());
-        let loss: &dyn crate::loss::MultiOutputLoss = custom_loss.unwrap_or(default_loss.as_ref());
-        let all_features: Vec<u32> = (0..ds.m() as u32).collect();
-        let mut trees = Vec::with_capacity(self.config.num_trees);
-        let mut hist_methods: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut start_round = 0usize;
-        if let Some(ck) = resume {
-            // Shapes were validated by `try_fit_resumed`; restoring the
-            // trees, score matrix, and mid-stream RNG makes the rounds
-            // below indistinguishable from an uninterrupted run.
-            scores.copy_from_slice(&ck.scores);
-            trees = ck.trees.clone();
-            rng = ChaCha8Rng::from_snapshot(ck.rng.0, ck.rng.1, ck.rng.2);
-            start_round = ck.completed_trees;
-        }
-
-        // Early-stopping state (only when a validation set is given).
-        let mut valid_scores: Vec<f32> = valid
-            .map(|(vd, _)| {
-                let mut s = vec![0.0f32; vd.n() * d];
-                for row in s.chunks_mut(d) {
-                    row.copy_from_slice(&base);
-                }
-                s
-            })
-            .unwrap_or_default();
-        let mut history: Vec<f64> = Vec::new();
-        let mut best = (f64::INFINITY, 0usize);
-        // Histogram buffers are reused across levels and trees; the
-        // pool grows to the peak number of simultaneously live node
-        // histograms and then stops allocating.
-        let mut pool = HistogramPool::new(0, 0, 0);
-
-        for t in start_round..self.config.num_trees {
-            // Rollback snapshot for transient-fault retry: taken only
-            // when an injector is attached, so the fault-free hot path
-            // stays allocation-identical to the pre-fault trainer.
-            let saved = faults_on.then(|| {
-                (
-                    scores.clone(),
-                    rng.clone(),
-                    valid_scores.clone(),
-                    history.len(),
-                    best,
-                )
-            });
-            let mut attempts = 0u32;
-            let (grown, early_stop) = loop {
-                // Per-boosting-round profiling scope (no-op when profiling
-                // is off); levels and kernels nest beneath it.
-                let _round_scope = device.prof_scope("round", Some(t as u64));
-                let mut grads_full = compute_gradients(device, loss, &scores, ds.targets(), n, d);
-                if self.config.hist.quantized_gradients {
-                    crate::grad::quantize_bf16(device, &mut grads_full);
-                }
-
-                // Stochastic gradient boosting: per-tree row/column samples.
-                let tree_features =
-                    sample_fraction(&all_features, self.config.colsample_bytree, &mut rng);
-                let all_rows: Vec<u32> = (0..n as u32).collect();
-                let (root, grads, subsampled);
-                if let Some(goss) = self.config.goss {
-                    let (idx, amplified) = goss_sample(&grads_full, goss, &mut rng);
-                    // lint:allow(sanitize): host-side RNG rank sampling emits a private index list; no cross-thread access stream to replay
-                    device.charge_kernel(
-                        "goss_rank_sample",
-                        Phase::Gradient,
-                        &KernelCost {
-                            // Gradient-norm pass + top-k selection (sort).
-                            flops: (n * d) as f64 + n as f64 * 2.0,
-                            dram_bytes: (n * d * 4 + n * 8) as f64,
-                            sort_keys: n as f64,
-                            launches: 3.0,
-                            ..Default::default()
-                        },
-                    );
-                    root = idx;
-                    grads = amplified;
-                    subsampled = true;
-                } else {
-                    subsampled = self.config.subsample < 1.0;
-                    root = if subsampled {
-                        sample_fraction(&all_rows, self.config.subsample, &mut rng)
-                    } else {
-                        all_rows
-                    };
-                    grads = grads_full;
-                }
-
-                let grown = if self.config.sketch.is_none() {
-                    grow_tree_pooled(
-                        device,
-                        &binned,
-                        &grads,
-                        &self.config,
-                        &tree_features,
-                        root,
-                        &mut pool,
-                    )
-                } else {
-                    // SketchBoost's recipe on the GPU pipeline: search the
-                    // tree structure on an n × k sketch (every histogram,
-                    // split and partition kernel runs at effective output
-                    // dimension k), then refit the leaves on the full
-                    // d-dimensional gradients.
-                    let sketch_scope = device.prof_scope("sketch", Some(t as u64));
-                    let sketched = crate::sketch::sketch_gradients_device(
-                        device,
-                        &grads,
-                        self.config.sketch,
-                        self.config.seed.wrapping_add(t as u64),
-                    );
-                    drop(sketch_scope);
-                    let mut grown = grow_tree_pooled(
-                        device,
-                        &binned,
-                        &sketched,
-                        &self.config,
-                        &tree_features,
-                        root,
-                        &mut pool,
-                    );
-                    crate::sketch::refit_leaves_full_d(device, &mut grown, &grads, &self.config);
-                    grown
-                };
-                if subsampled {
-                    // Out-of-sample instances still receive the tree's
-                    // contribution: route every instance to its leaf.
-                    for i in 0..n {
-                        grown
-                            .tree
-                            .predict_into(ds.features().row(i), &mut scores[i * d..(i + 1) * d]);
-                    }
-                    // lint:allow(sanitize): same disjoint per-instance row scatter as `update_scores`, replayed by trace_update_scores on the dense path
-                    device.charge_kernel(
-                        "update_scores_routed",
-                        Phase::Predict,
-                        &KernelCost::streaming(
-                            (n * grown.tree.depth().max(1)) as f64 * 4.0,
-                            (n * (grown.tree.depth().max(1) * 16 + d * 8)) as f64,
-                        ),
-                    );
-                } else {
-                    update_scores_from_leaves(device, &mut scores, d, &grown.leaf_assignments);
-                }
-
-                let mut early_stop = false;
-                if let Some((vd, patience)) = valid {
-                    let tree = &grown.tree;
-                    for i in 0..vd.n() {
-                        tree.predict_into(
-                            vd.features().row(i),
-                            &mut valid_scores[i * d..(i + 1) * d],
-                        );
-                    }
-                    // lint:allow(sanitize): identical traversal/scatter pattern to `predict`, replayed by trace_predict on the training path
-                    device.charge_kernel(
-                        "validation_predict",
-                        Phase::Predict,
-                        &KernelCost::streaming(
-                            (vd.n() * tree.depth().max(1)) as f64 * 4.0,
-                            (vd.n() * (tree.depth().max(1) * 16 + d * 8)) as f64,
-                        ),
-                    );
-                    let vloss = crate::loss::mean_loss(loss, &valid_scores, vd.targets(), d);
-                    history.push(vloss);
-                    if vloss < best.0 {
-                        best = (vloss, t);
-                    }
-                    if t - best.1 >= patience {
-                        early_stop = true; // no improvement for `patience` trees
-                    }
-                }
-
-                if !faults_on {
-                    break (grown, early_stop);
-                }
-                // Sync point: surface any fault injected by this round's
-                // charges before committing its tree.
-                match device.poll_fault() {
-                    Ok(()) => break (grown, early_stop),
-                    Err(fault) if fault.is_transient() && attempts < max_retries => {
-                        // Roll the mutated state back and re-run the round;
-                        // the faulted attempt's charges stay on the ledger
-                        // and the redo pays full price again.
-                        attempts += 1;
-                        if let Some(tl) = &tel {
-                            tl.counter_inc("train.faults_total");
-                            tl.counter_inc("train.retries_total");
-                        }
-                        let (s, r, v, hist_len, b) = saved.clone().expect("snapshot exists");
-                        scores = s;
-                        rng = r;
-                        valid_scores = v;
-                        history.truncate(hist_len);
-                        best = b;
-                    }
-                    Err(fault) if fault.is_transient() => {
-                        let err = TrainError::RetriesExhausted {
-                            round: t,
-                            attempts,
-                            fault,
-                        };
-                        if let Some(tl) = &tel {
-                            tl.counter_inc("train.faults_total");
-                            tl.record_postmortem(&err.to_string());
-                        }
-                        return Err(err);
-                    }
-                    Err(fault) => {
-                        let err = TrainError::DeviceLost { round: t, fault };
-                        if let Some(tl) = &tel {
-                            tl.counter_inc("train.faults_total");
-                            tl.record_postmortem(&err.to_string());
-                        }
-                        return Err(err);
-                    }
-                }
-            }; // retry loop
-
-            for (m, c) in grown.methods_used {
-                *hist_methods.entry(m).or_insert(0) += c;
-                if let Some(tl) = &tel {
-                    tl.counter_add(hist_method_metric(m), c as u64);
-                }
-            }
-            trees.push(grown.tree);
-            if let Some(tl) = &tel {
-                tl.counter_inc("train.rounds_total");
-                // Host-side only: the loss is computed from the already-
-                // committed score matrix, charges nothing, and uses no RNG.
-                tl.gauge_set(
-                    "train.loss",
-                    crate::loss::mean_loss(loss, &scores, ds.targets(), d),
-                );
-                tl.gauge_set("train.pool_high_water", pool.allocated() as f64);
-            }
-            if let Some(out) = checkpoints.as_deref_mut() {
-                out.push(Checkpoint {
-                    completed_trees: t + 1,
-                    trees: trees.clone(),
-                    base: base.clone(),
-                    scores: scores.clone(),
-                    rng: rng.snapshot(),
-                    n,
-                    d,
-                    task: ds.task(),
-                    config: self.config.clone(),
-                });
-                if let Some(tl) = &tel {
-                    tl.counter_inc("train.checkpoints_total");
-                }
-            }
-            if early_stop {
-                break;
-            }
-        }
-        if valid.is_some() {
-            trees.truncate(best.1 + 1);
-        }
-
-        let model = Model {
-            trees,
-            base,
-            d,
-            task: ds.task(),
-            config: self.config.clone(),
-        };
-        let sim = self.device.summary().since(&start_summary);
-        if let Some(tl) = &tel {
-            tl.gauge_set("train.overlap_saved_ns", sim.overlap_saved_ns);
-        }
-        let report = TrainReport {
-            sim_seconds: sim.total_ns * 1e-9,
-            host_seconds: host_start.elapsed().as_secs_f64(),
-            sim,
-            model,
-            hist_methods,
-        };
-        let curve = valid.map(|_| (history, best.1));
-        Ok((report, curve))
+        let mut group = Group::new(vec![self.device.clone()], None);
+        fit_on(
+            &mut group,
+            &self.config,
+            ds,
+            valid,
+            custom_loss,
+            resume,
+            checkpoints,
+        )
     }
+}
+
+/// The boosting loop (paper Fig. 2) for every placement: `group`
+/// decides which devices charge what, and how faults are recovered;
+/// everything functional — gradients, sampling, sketching, trees,
+/// scores — runs once on the host and is placement-independent.
+pub(crate) fn fit_on(
+    group: &mut Group,
+    config: &TrainConfig,
+    ds: &Dataset,
+    valid: Option<(&Dataset, usize)>,
+    custom_loss: Option<&dyn crate::loss::MultiOutputLoss>,
+    resume: Option<&Checkpoint>,
+    mut checkpoints: Option<&mut Vec<Checkpoint>>,
+) -> Result<(TrainReport, Option<ValidationCurve>), TrainError> {
+    let n = ds.n();
+    let d = ds.d();
+    let m = ds.m();
+    if !config.monotone_constraints.is_empty() && config.monotone_constraints.len() != m {
+        return Err(TrainError::Config(ConfigError::from(format!(
+            "monotone_constraints has {} entries but the dataset has {m} features",
+            config.monotone_constraints.len()
+        ))));
+    }
+    let start_summaries = group.summaries();
+    let host_start = Instant::now();
+    // With no injector attached every poll is `Ok` and no snapshot
+    // is ever taken, so this path is bit-identical to a trainer
+    // without fault handling (regression-tested in tests/chaos.rs).
+    let faults_on = group.faults_on();
+    let max_retries = config.retry.max_retries;
+    // Pure observer (like the profiler): metric updates below are
+    // host-side only, charge nothing, and never feed back — with
+    // `None` every telemetry block is skipped entirely, so attached
+    // vs. detached runs stay bit-identical (tests/telemetry.rs).
+    let tel = group.telemetry();
+
+    // --- preprocessing: upload + quantile binning (charged), with
+    // --- bounded retry on transient faults ----------------------------
+    let mut prep_attempts = 0u32;
+    loop {
+        let placement = group.placement(m);
+        let prep_scope = placement.lead().prof_scope("preprocess", None);
+        placement.charge_preprocess(n, m, config);
+        drop(prep_scope);
+        if !faults_on {
+            break;
+        }
+        match group.recover(tel.as_deref(), &mut prep_attempts, max_retries, usize::MAX)? {
+            StepVerdict::Commit => break,
+            // Retry and degradation both simply re-run the ingest: the
+            // survivors' placement re-partitions the data.
+            StepVerdict::Retry | StepVerdict::Degraded => {}
+        }
+    }
+    let binned = BinnedDataset::build(ds.features(), config.max_bins);
+
+    // --- base scores --------------------------------------------------
+    let base = base_scores(ds);
+    let mut scores = vec![0.0f32; n * d];
+    for row in scores.chunks_mut(d) {
+        row.copy_from_slice(&base);
+    }
+
+    let default_loss = loss_for_task(ds.task());
+    let loss: &dyn crate::loss::MultiOutputLoss = custom_loss.unwrap_or(default_loss.as_ref());
+    let all_features: Vec<u32> = (0..m as u32).collect();
+    let mut trees = Vec::with_capacity(config.num_trees);
+    let mut hist_methods: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+    let mut start_round = 0usize;
+    if let Some(ck) = resume {
+        // Shapes were validated by `try_fit_resumed`; restoring the
+        // trees, score matrix, and mid-stream RNG makes the rounds
+        // below indistinguishable from an uninterrupted run.
+        scores.copy_from_slice(&ck.scores);
+        trees = ck.trees.clone();
+        rng = ChaCha8Rng::from_snapshot(ck.rng.0, ck.rng.1, ck.rng.2);
+        start_round = ck.completed_trees;
+    }
+
+    // Early-stopping state (only when a validation set is given).
+    let mut valid_scores: Vec<f32> = valid
+        .map(|(vd, _)| {
+            let mut s = vec![0.0f32; vd.n() * d];
+            for row in s.chunks_mut(d) {
+                row.copy_from_slice(&base);
+            }
+            s
+        })
+        .unwrap_or_default();
+    let mut history: Vec<f64> = Vec::new();
+    let mut best = (f64::INFINITY, 0usize);
+    // Histogram buffers are reused across levels and trees; the
+    // pool grows to the peak number of simultaneously live node
+    // histograms and then stops allocating.
+    let mut pool = HistogramPool::new(0, 0, 0);
+
+    for t in start_round..config.num_trees {
+        // Rollback snapshot for transient-fault retry: taken only
+        // when an injector is attached, so the fault-free hot path
+        // stays allocation-identical to the pre-fault trainer.
+        let saved = faults_on.then(|| {
+            (
+                scores.clone(),
+                rng.clone(),
+                valid_scores.clone(),
+                history.len(),
+                best,
+            )
+        });
+        let mut attempts = 0u32;
+        let (grown, early_stop) = loop {
+            let placement = group.placement(m);
+            let device = placement.lead();
+            // Per-boosting-round profiling scope on the lead (no-op when
+            // profiling is off); levels and kernels nest beneath it.
+            let round_scope = device.prof_scope("round", Some(t as u64));
+            let mut grads_full = compute_gradients(device, loss, &scores, ds.targets(), n, d);
+            placement.mirror_gradients(n, d, loss.flops_per_output());
+            if config.hist.quantized_gradients {
+                crate::grad::quantize_bf16(device, &mut grads_full);
+                placement.mirror("quantize_bf16", Phase::Gradient, n, |r| {
+                    KernelCost::streaming((r * d * 2) as f64, (r * d * 2 * 6) as f64)
+                });
+            }
+
+            // Stochastic gradient boosting: per-tree row/column samples.
+            let tree_features = sample_fraction(&all_features, config.colsample_bytree, &mut rng);
+            let all_rows: Vec<u32> = (0..n as u32).collect();
+            let (root, grads, subsampled);
+            if let Some(goss) = config.goss {
+                let (idx, amplified) = goss_sample(&grads_full, goss, &mut rng);
+                // Gradient-norm pass + top-k selection (sort).
+                let cost = |r: usize| KernelCost {
+                    flops: (r * d) as f64 + r as f64 * 2.0,
+                    dram_bytes: (r * d * 4 + r * 8) as f64,
+                    sort_keys: r as f64,
+                    launches: 3.0,
+                    ..Default::default()
+                };
+                // lint:allow(sanitize): host-side RNG rank sampling emits a private index list; no cross-thread access stream to replay
+                device.charge_kernel("goss_rank_sample", Phase::Gradient, &cost(n));
+                placement.mirror("goss_rank_sample", Phase::Gradient, n, cost);
+                root = idx;
+                grads = amplified;
+                subsampled = true;
+            } else {
+                subsampled = config.subsample < 1.0;
+                root = if subsampled {
+                    sample_fraction(&all_rows, config.subsample, &mut rng)
+                } else {
+                    all_rows
+                };
+                grads = grads_full;
+            }
+
+            let grown = if config.sketch.is_none() {
+                grow_tree_placed(
+                    &placement,
+                    &binned,
+                    &grads,
+                    config,
+                    &tree_features,
+                    root,
+                    &mut pool,
+                )
+            } else {
+                // SketchBoost's recipe on the GPU pipeline: search the
+                // tree structure on an n × k sketch (every histogram,
+                // split and partition kernel runs at effective output
+                // dimension k), then refit the leaves on the full
+                // d-dimensional gradients.
+                let sketch_scope = device.prof_scope("sketch", Some(t as u64));
+                let sketched =
+                    placement.sketch(&grads, config.sketch, config.seed.wrapping_add(t as u64));
+                drop(sketch_scope);
+                let mut grown = grow_tree_placed(
+                    &placement,
+                    &binned,
+                    &sketched,
+                    config,
+                    &tree_features,
+                    root,
+                    &mut pool,
+                );
+                crate::sketch::refit_leaves_full_d(device, &mut grown, &grads, config);
+                let touched: usize = grown.leaf_assignments.iter().map(|(i, _)| i.len()).sum();
+                placement.mirror("leaf_refit_full_d", Phase::LeafValue, touched, |r| {
+                    KernelCost::streaming((r * d * 2) as f64, (r * d * 8) as f64)
+                });
+                grown
+            };
+            if subsampled {
+                // Out-of-sample instances still receive the tree's
+                // contribution: route every instance to its leaf.
+                for i in 0..n {
+                    grown
+                        .tree
+                        .predict_into(ds.features().row(i), &mut scores[i * d..(i + 1) * d]);
+                }
+                let depth = grown.tree.depth().max(1);
+                let cost = |r: usize| {
+                    KernelCost::streaming(
+                        (r * depth) as f64 * 4.0,
+                        (r * (depth * 16 + d * 8)) as f64,
+                    )
+                };
+                // lint:allow(sanitize): same disjoint per-instance row scatter as `update_scores`, replayed by trace_update_scores on the dense path
+                device.charge_kernel("update_scores_routed", Phase::Predict, &cost(n));
+                placement.mirror("update_scores_routed", Phase::Predict, n, cost);
+            } else {
+                update_scores_from_leaves(device, &mut scores, d, &grown.leaf_assignments);
+                placement.mirror_score_update(&grown.leaf_assignments, d);
+            }
+
+            let mut early_stop = false;
+            if let Some((vd, patience)) = valid {
+                let tree = &grown.tree;
+                for i in 0..vd.n() {
+                    tree.predict_into(vd.features().row(i), &mut valid_scores[i * d..(i + 1) * d]);
+                }
+                // lint:allow(sanitize): identical traversal/scatter pattern to `predict`, replayed by trace_predict on the training path
+                device.charge_kernel(
+                    "validation_predict",
+                    Phase::Predict,
+                    &KernelCost::streaming(
+                        (vd.n() * tree.depth().max(1)) as f64 * 4.0,
+                        (vd.n() * (tree.depth().max(1) * 16 + d * 8)) as f64,
+                    ),
+                );
+                let vloss = crate::loss::mean_loss(loss, &valid_scores, vd.targets(), d);
+                history.push(vloss);
+                if vloss < best.0 {
+                    best = (vloss, t);
+                }
+                if t - best.1 >= patience {
+                    early_stop = true; // no improvement for `patience` trees
+                }
+            }
+            drop(round_scope);
+
+            if !faults_on {
+                break (grown, early_stop);
+            }
+            // Sync point: surface any fault injected by this round's
+            // charges before committing its tree.
+            match group.recover(tel.as_deref(), &mut attempts, max_retries, t)? {
+                StepVerdict::Commit => break (grown, early_stop),
+                StepVerdict::Retry => {}
+                // Survivors take over the lost devices' columns or
+                // shards: charge the ingest of the shifted partition
+                // before re-running the round.
+                StepVerdict::Degraded => group.placement(m).charge_preprocess(n, m, config),
+            }
+            // Roll the mutated state back and re-run the round; the
+            // faulted attempt's charges stay on the ledger and the redo
+            // pays full price again.
+            let (s, r, v, hist_len, b) = saved.clone().expect("snapshot exists");
+            scores = s;
+            rng = r;
+            valid_scores = v;
+            history.truncate(hist_len);
+            best = b;
+        }; // retry loop
+
+        for (m, c) in grown.methods_used {
+            *hist_methods.entry(m).or_insert(0) += c;
+            if let Some(tl) = &tel {
+                tl.counter_add(hist_method_metric(m), c as u64);
+            }
+        }
+        trees.push(grown.tree);
+        if let Some(tl) = &tel {
+            tl.counter_inc("train.rounds_total");
+            // Host-side only: the loss is computed from the already-
+            // committed score matrix, charges nothing, and uses no RNG.
+            tl.gauge_set(
+                "train.loss",
+                crate::loss::mean_loss(loss, &scores, ds.targets(), d),
+            );
+            tl.gauge_set("train.pool_high_water", pool.allocated() as f64);
+        }
+        if let Some(out) = checkpoints.as_deref_mut() {
+            out.push(Checkpoint {
+                completed_trees: t + 1,
+                trees: trees.clone(),
+                base: base.clone(),
+                scores: scores.clone(),
+                rng: rng.snapshot(),
+                n,
+                d,
+                task: ds.task(),
+                config: config.clone(),
+            });
+            if let Some(tl) = &tel {
+                tl.counter_inc("train.checkpoints_total");
+            }
+        }
+        if early_stop {
+            break;
+        }
+    }
+    if valid.is_some() {
+        trees.truncate(best.1 + 1);
+    }
+
+    let model = Model {
+        trees,
+        base,
+        d,
+        task: ds.task(),
+        config: config.clone(),
+    };
+    // Group time = the lead's clock after the final join; its phase
+    // breakdown is the run's representative one.
+    let sim = group.finish(&start_summaries);
+    if let Some(tl) = &tel {
+        tl.gauge_set("train.overlap_saved_ns", sim.overlap_saved_ns);
+    }
+    let report = TrainReport {
+        sim_seconds: sim.total_ns * 1e-9,
+        host_seconds: host_start.elapsed().as_secs_f64(),
+        sim,
+        model,
+        hist_methods,
+    };
+    let curve = valid.map(|_| (history, best.1));
+    Ok((report, curve))
 }
 
 /// Result of [`GpuTrainer::fit_with_validation`].
@@ -861,6 +821,45 @@ mod tests {
         assert!(err.to_string().contains("invalid training configuration"));
         let ok = GpuTrainer::try_new(Device::rtx4090(), TrainConfig::default());
         assert!(ok.is_ok());
+    }
+
+    #[test]
+    fn wrong_length_monotone_constraints_are_a_typed_error_on_every_placement() {
+        use crate::multigpu::{MultiGpuStrategy, MultiGpuTrainer};
+        let ds = make_regression(&RegressionSpec {
+            instances: 120,
+            features: 4,
+            outputs: 2,
+            informative: 3,
+            seed: 12,
+            ..Default::default()
+        });
+        for len in [3, 5] {
+            let cfg = TrainConfig {
+                monotone_constraints: vec![1; len],
+                ..quick_config()
+            };
+            let single = GpuTrainer::new(Device::rtx4090(), cfg.clone()).try_fit(&ds);
+            assert!(
+                matches!(&single, Err(TrainError::Config(e)) if e.message().contains("monotone")),
+                "single device, {len} constraints: {single:?}"
+            );
+            for strategy in [
+                MultiGpuStrategy::FeatureParallel,
+                MultiGpuStrategy::DataParallel,
+            ] {
+                let multi = MultiGpuTrainer::with_strategy(
+                    gpusim::DeviceGroup::rtx4090s(2),
+                    cfg.clone(),
+                    strategy,
+                )
+                .try_fit(&ds);
+                assert!(
+                    matches!(&multi, Err(TrainError::Config(_))),
+                    "{strategy:?}, {len} constraints: {multi:?}"
+                );
+            }
+        }
     }
 
     #[test]
