@@ -13,6 +13,15 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> vendored rayon pool + thread-count determinism at 1 and 4 threads"
+# RAYON_NUM_THREADS=1 runs every parallel call inline; 4 asks the pool
+# for more threads than a small CI box has cores.
+for threads in 1 4; do
+  RAYON_NUM_THREADS=$threads cargo test -q -p rayon >/dev/null
+  RAYON_NUM_THREADS=$threads cargo test -q -p gbdt-core --test properties \
+    same_seed_same_model_at_any_thread_count >/dev/null
+done
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

@@ -16,8 +16,8 @@
 //!   fig6b      Fig. 6b  training time vs number of classes
 //!   fig7       Fig. 7   training time vs tree depth
 //!   ablations  design-choice ablations from DESIGN.md
-//!   hostbench  host wall-clock of the level-wise grower (subtraction
-//!              × parallel_level_hist), simulated time held fixed
+//!   hostbench  host wall-clock of the level-wise grower with and
+//!              without the subtraction trick
 //!   sanitize   one boosting round per histogram method under full
 //!              memcheck+racecheck, plus a determinism audit; exits
 //!              nonzero if any violation is found
@@ -897,11 +897,9 @@ fn ablations(opts: &Opts) {
 }
 
 /// Host-side cost of the level-wise grower on a synthetic multi-output
-/// workload: `host_seconds` (wall-clock of the simulation itself) for
-/// every combination of the subtraction trick and the
-/// `parallel_level_hist` toggle. Simulated seconds are printed next to
-/// each row — identical within a subtraction setting by construction
-/// (the toggle moves host arithmetic only, never device charges).
+/// workload: `host_seconds` (wall-clock of the simulation itself) with
+/// and without the subtraction trick, simulated seconds printed next to
+/// each row.
 fn hostbench(opts: &Opts) {
     let spec = ClassificationSpec {
         instances: (4_000.0 * opts.scale).round() as usize,
@@ -915,32 +913,28 @@ fn hostbench(opts: &Opts) {
     let train = make_classification(&spec);
     let mut rows = Vec::new();
     for subtraction in [false, true] {
-        for parallel in [false, true] {
-            let mut cfg = opts.config();
-            cfg.max_depth = cfg.max_depth.max(8); // deep frontier: many live hists
-            cfg.hist.subtraction = subtraction;
-            cfg.parallel_level_hist = parallel;
-            // Median of 3 runs to steady the wall-clock.
-            let mut host = Vec::new();
-            let mut sim = 0.0;
-            for _ in 0..3 {
-                let r = GpuTrainer::new(Device::rtx4090(), cfg.clone()).fit_report(&train);
-                host.push(r.host_seconds);
-                sim = r.sim_seconds;
-            }
-            host.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            rows.push(vec![
-                if subtraction {
-                    "parent−child"
-                } else {
-                    "rebuild both"
-                }
-                .to_string(),
-                if parallel { "parallel" } else { "serial" }.to_string(),
-                format!("{:.3}", host[1]),
-                fmt_secs(sim),
-            ]);
+        let mut cfg = opts.config();
+        cfg.max_depth = cfg.max_depth.max(8); // deep frontier: many live hists
+        cfg.hist.subtraction = subtraction;
+        // Median of 3 runs to steady the wall-clock.
+        let mut host = Vec::new();
+        let mut sim = 0.0;
+        for _ in 0..3 {
+            let r = GpuTrainer::new(Device::rtx4090(), cfg.clone()).fit_report(&train);
+            host.push(r.host_seconds);
+            sim = r.sim_seconds;
         }
+        host.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        rows.push(vec![
+            if subtraction {
+                "parent−child"
+            } else {
+                "rebuild both"
+            }
+            .to_string(),
+            format!("{:.3}", host[1]),
+            fmt_secs(sim),
+        ]);
     }
     println!(
         "== hostbench: level histogram build, n={} m={} d={} ==",
@@ -948,10 +942,7 @@ fn hostbench(opts: &Opts) {
     );
     println!(
         "{}",
-        render_table(
-            &["children hists", "level build", "host(s)", "sim(s)"],
-            &rows
-        )
+        render_table(&["children hists", "host(s)", "sim(s)"], &rows)
     );
 }
 

@@ -166,15 +166,6 @@ pub struct TrainConfig {
     /// default); more streams shorten deep levels full of small nodes,
     /// whose launch latencies then overlap.
     pub streams: usize,
-    /// Build the histograms of one tree level's nodes in parallel on
-    /// the host (they are mutually independent — the same property the
-    /// `streams` overlap exploits on the simulated device). Affects
-    /// host wall-clock only: device charges are issued serially in
-    /// node-index order either way, so the simulated timeline and the
-    /// grown tree are bit-identical at any thread count. Single device
-    /// only: multi-GPU placements build one node at a time, holding
-    /// host memory to one histogram.
-    pub parallel_level_hist: bool,
     /// Gradient sketching for tree-structure search: grow each tree on
     /// an `n × k` sketch of the gradients while leaf values stay
     /// full-`d` (SketchBoost's recipe). [`OutputSketch::None`] (the
@@ -206,7 +197,6 @@ impl Default for TrainConfig {
             goss: None,
             monotone_constraints: Vec::new(),
             streams: 1,
-            parallel_level_hist: true,
             sketch: OutputSketch::None,
             seed: 0,
             retry: crate::error::RetryPolicy::default(),
@@ -436,6 +426,22 @@ mod tests {
         assert_eq!(OutputSketch::TopOutputs(4).label(), "top4");
         assert_eq!(OutputSketch::RandomSampling(8).label(), "rand8");
         assert_eq!(OutputSketch::RandomProjection(2).label(), "proj2");
+    }
+
+    #[test]
+    fn saved_config_with_the_removed_parallel_level_hist_field_loads() {
+        // Model files and checkpoints embed this JSON; files written
+        // while `parallel_level_hist` existed must keep loading.
+        let c = TrainConfig::default().with_trees(7).with_streams(2);
+        let json = serde_json::to_string(&c).unwrap();
+        let old = json.replacen(
+            "\"streams\":2,",
+            "\"streams\":2,\"parallel_level_hist\":true,",
+            1,
+        );
+        assert_ne!(old, json);
+        let back: TrainConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

@@ -3,16 +3,13 @@
 //! The frontier of open nodes is processed one depth level at a time in
 //! a **two-stage pass**:
 //!
-//! 1. **Histogram build** — every open node's histogram is produced:
-//!    fresh builds accumulate from instance data (in parallel across
-//!    nodes when [`TrainConfig::parallel_level_hist`] is set — they are
-//!    mutually independent), then subtraction-inherited nodes derive
-//!    `parent − sibling` from the parent buffer that survived the
-//!    previous level. Level-batched buffers are only used when the
-//!    subtraction trick or real host parallelism calls for them;
-//!    otherwise stage 1 is skipped and each histogram is built lazily
-//!    in stage 2 over a single hot pooled buffer (better cache reuse
-//!    single-threaded).
+//! 1. **Histogram build** — with the subtraction trick, the level's
+//!    fresh builds run first, in node-index order, into pooled buffers;
+//!    then subtraction-inherited nodes derive `parent − sibling` from
+//!    the parent buffer that survived the previous level. Without it,
+//!    stage 1 is skipped and each histogram is built lazily in stage 2
+//!    over a single hot pooled buffer. Host parallelism lives inside
+//!    each build (over features), not across nodes.
 //! 2. **Split selection** — nodes are visited strictly in node-index
 //!    order: device charges are issued, the best split is found via
 //!    segmented reductions, and instances are partitioned into the
@@ -20,7 +17,7 @@
 //!
 //! Because stage 2 is serial and consumes histograms in node-index
 //! order, the grown tree and the simulated timeline are bit-identical
-//! at any host thread count and with the parallel build disabled.
+//! at any host thread count.
 //! Histogram buffers come from a [`HistogramPool`] reused across
 //! levels and trees; on the subtraction path the parent's buffer stays
 //! alive (owned by the level loop) until both children have resolved.
@@ -40,7 +37,6 @@ use crate::split::{leaf_values, ConstraintState, SplitParams};
 use crate::tree::Tree;
 use gbdt_data::BinnedDataset;
 use gpusim::Device;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// Stable in-order partition of `idx` by `flags` (`true` → left). The
@@ -236,26 +232,17 @@ pub(crate) fn grow_tree_placed(
         charges.begin_level();
 
         // ---- stage 1: histogram build ------------------------------
-        // Level-batched buffers are needed when subtraction derives
-        // must see their sibling's and parent's buffers at once, and
-        // they pay off when real host parallelism is available and the
-        // placement lets a level's buffers be live together. With
-        // neither, each histogram is instead built immediately before
-        // its split is selected (in stage 2), keeping a single hot
-        // buffer resident in cache — measurably faster single-threaded.
-        // Either way every buffer comes from the pool and all device
-        // charges are issued in stage 2's node-index order, so the tree
-        // and the simulated timeline are identical across modes.
-        let batch = config.hist.subtraction
-            || (config.parallel_level_hist
-                && rayon::current_num_threads() > 1
-                && placement.batches_level_builds());
+        // Subtraction derives must see their sibling's and parent's
+        // buffers at once, so that path builds the level's fresh
+        // histograms up front, in node order. Otherwise each histogram
+        // is built immediately before its split is selected (in stage
+        // 2), keeping a single hot buffer resident in cache. Either way
+        // every buffer comes from the pool and all device charges are
+        // issued in stage 2's node-index order.
+        let batch = config.hist.subtraction;
         let mut hists: Vec<Option<NodeHistogram>> = frontier.iter().map(|_| None).collect();
         if batch {
-            // Fresh builds of the level run over pooled buffers; they
-            // are mutually independent, so they may run across host
-            // threads. Nodes too small to split get no histogram.
-            let mut jobs: Vec<(usize, NodeHistogram)> = Vec::new();
+            // Nodes too small to split get no histogram.
             for (i, work) in frontier.iter().enumerate() {
                 if work.instances.len() < 2 * config.min_instances {
                     debug_assert!(
@@ -265,22 +252,10 @@ pub(crate) fn grow_tree_placed(
                     continue;
                 }
                 if matches!(work.source, HistSource::Build) {
-                    jobs.push((i, pool.acquire()));
+                    let mut buf = pool.acquire();
+                    accumulate_only(&ctx, &work.instances, &work.g, &work.h, &mut buf);
+                    hists[i] = Some(buf);
                 }
-            }
-            {
-                let build = |(i, buf): &mut (usize, NodeHistogram)| {
-                    let w = &frontier[*i];
-                    accumulate_only(&ctx, &w.instances, &w.g, &w.h, buf);
-                };
-                if config.parallel_level_hist && jobs.len() > 1 {
-                    jobs.par_iter_mut().for_each(build);
-                } else {
-                    jobs.iter_mut().for_each(build);
-                }
-            }
-            for (i, buf) in jobs {
-                hists[i] = Some(buf);
             }
 
             // Subtraction-inherited nodes derive `parent − sibling`
@@ -774,35 +749,6 @@ mod tests {
         let hist_serial = d1.summary().by_phase[&Phase::Histogram];
         let hist_streamed = d2.summary().by_phase[&Phase::Histogram];
         assert!(hist_streamed * 4.2 > hist_serial, "superlinear overlap");
-    }
-
-    #[test]
-    fn parallel_toggle_changes_neither_model_nor_simulated_time() {
-        let (_, data, grads) = setup(2000, 10, 4);
-        let features: Vec<u32> = (0..10).collect();
-        for subtraction in [false, true] {
-            let mut on_cfg = config();
-            on_cfg.max_depth = 6;
-            on_cfg.hist.subtraction = subtraction;
-            on_cfg.parallel_level_hist = true;
-            let mut off_cfg = on_cfg.clone();
-            off_cfg.parallel_level_hist = false;
-
-            let d_on = Device::rtx4090();
-            let on = grow_tree(&d_on, &data, &grads, &on_cfg, &features);
-            let d_off = Device::rtx4090();
-            let off = grow_tree(&d_off, &data, &grads, &off_cfg, &features);
-
-            // Bit-identical model and leaf values…
-            assert_eq!(on.tree, off.tree, "subtraction={subtraction}");
-            for ((ia, va), (ib, vb)) in on.leaf_assignments.iter().zip(&off.leaf_assignments) {
-                assert_eq!(ia, ib);
-                assert_eq!(va, vb, "leaf values must match bitwise");
-            }
-            // …and bit-identical simulated timeline: charges are issued
-            // serially in node-index order regardless of the toggle.
-            assert_eq!(d_on.now_ns(), d_off.now_ns(), "subtraction={subtraction}");
-        }
     }
 
     #[test]

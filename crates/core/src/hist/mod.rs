@@ -177,15 +177,6 @@ impl HistContext<'_> {
     }
 }
 
-// The level-parallel grower shares one `&HistContext` across worker
-// threads ([`accumulate_only`] is charge-free and takes `&self` state
-// only). Keep that contract checked at compile time: every field must
-// stay `Sync` (the device's ledger is behind a lock already).
-const _: fn() = || {
-    fn assert_sync<T: Sync>() {}
-    assert_sync::<HistContext<'static>>();
-};
-
 /// Fraction of (instance, feature) pairs the histogram kernel actually
 /// touches: 1.0 on the dense path, the data's non-zero density when the
 /// sparsity-aware CSC path is enabled. The sparse path also scales the

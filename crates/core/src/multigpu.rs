@@ -508,14 +508,6 @@ impl<'a> Placement<'a> {
         }
     }
 
-    /// Whether the grower may hold a whole level's fresh histograms at
-    /// once to build them across host threads (`parallel_level_hist`).
-    /// Only a single device does; a group builds one node at a time
-    /// into one hot buffer, holding its host memory to one histogram.
-    pub(crate) fn batches_level_builds(&self) -> bool {
-        matches!(self, Placement::Single(_))
-    }
-
     /// The non-lead devices, which pay mirror charges.
     fn replicas(&self) -> &'a [Arc<Device>] {
         match *self {
