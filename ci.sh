@@ -15,11 +15,14 @@ cargo test --workspace -q
 
 echo "==> vendored rayon pool + thread-count determinism at 1 and 4 threads"
 # RAYON_NUM_THREADS=1 runs every parallel call inline; 4 asks the pool
-# for more threads than a small CI box has cores.
+# for more threads than a small CI box has cores. The histogram layout
+# differential compares the parallel accumulation and split search with
+# serial output-major reference loops bit for bit.
 for threads in 1 4; do
   RAYON_NUM_THREADS=$threads cargo test -q -p rayon >/dev/null
   RAYON_NUM_THREADS=$threads cargo test -q -p gbdt-core --test properties \
     same_seed_same_model_at_any_thread_count >/dev/null
+  RAYON_NUM_THREADS=$threads cargo test -q -p gbdt-core --test hist_layout >/dev/null
 done
 
 echo "==> cargo clippy --all-targets -- -D warnings"

@@ -14,7 +14,7 @@ use gbdt_core::grad::Gradients;
 use gbdt_core::grow::{partition_stable, GrowResult};
 use gbdt_core::hist::{build_node_histogram, HistContext, NodeHistogram};
 use gbdt_core::split::{
-    find_best_split_batched, leaf_values, split_gain, LevelSplitCharges, SplitParams,
+    find_best_split_batched, leaf_values, scan_feature_gains, LevelSplitCharges, SplitParams,
 };
 use gbdt_core::tree::Tree;
 use gbdt_data::BinnedDataset;
@@ -255,25 +255,10 @@ pub fn grow_tree_oblivious(
             any = true;
             let m = build_node_histogram(&ctx, instances, g, h, &mut hist);
             *methods_used.entry(m).or_insert(0) += 1;
-            for f_local in 0..features.len() {
-                let mut gl = vec![0.0f64; d];
-                let mut hl = vec![0.0f64; d];
-                let mut left_cnt = 0u32;
-                for b in 0..bins - 1 {
-                    left_cnt += hist.counts[hist.cnt_index(f_local, b)];
-                    for k in 0..d {
-                        let at = hist.gh_index(f_local, k, b);
-                        gl[k] += hist.g[at];
-                        hl[k] += hist.h[at];
-                    }
-                    let right_cnt = instances.len() as u32 - left_cnt;
-                    if (left_cnt as usize) < config.min_instances
-                        || (right_cnt as usize) < config.min_instances
-                    {
-                        continue;
-                    }
-                    level_gains[f_local * bins + b] += split_gain(&gl, &hl, g, h, config.lambda);
-                }
+            let count = instances.len() as u32;
+            for (f_local, gains) in level_gains.chunks_exact_mut(bins).enumerate() {
+                let visit = |b: usize, gain| gains[b] += gain;
+                scan_feature_gains(&hist, f_local, g, h, count, &params, None, visit);
             }
         }
         if !any {

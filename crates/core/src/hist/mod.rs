@@ -41,13 +41,16 @@ pub(crate) const GH_L2_HIT: f64 = 0.92;
 
 /// A node's gradient histogram over a set of features.
 ///
-/// Layout (all contiguous per segment, enabling uniform segmented
-/// scans): `g[(f_local*d + k)*bins + b]`, `counts[f_local*bins + b]`.
+/// Layout (bin-major: one contiguous `d`-row per (feature, bin), so an
+/// instance's outputs update adjacent elements and the split scan adds
+/// whole rows): `g[(f_local*bins + b)*d + k]`, `counts[f_local*bins + b]`.
+/// The simulated kernels keep the paper's per-(feature, output)
+/// segments in their cost model and sanitizer traces (DESIGN.md).
 #[derive(Debug, Clone)]
 pub struct NodeHistogram {
-    /// Per-(feature, output, bin) gradient sums.
+    /// Per-(feature, bin, output) gradient sums.
     pub g: Vec<f64>,
-    /// Per-(feature, output, bin) Hessian sums.
+    /// Per-(feature, bin, output) Hessian sums.
     pub h: Vec<f64>,
     /// Per-(feature, bin) instance counts.
     pub counts: Vec<u32>,
@@ -84,25 +87,13 @@ impl NodeHistogram {
     /// Flat index of `(f_local, k, b)` into `g`/`h`.
     #[inline]
     pub fn gh_index(&self, f_local: usize, k: usize, b: usize) -> usize {
-        (f_local * self.d + k) * self.bins + b
+        (f_local * self.bins + b) * self.d + k
     }
 
     /// Flat index of `(f_local, b)` into `counts`.
     #[inline]
     pub fn cnt_index(&self, f_local: usize, b: usize) -> usize {
         f_local * self.bins + b
-    }
-
-    /// The contiguous `bins`-long gradient segment of `(f_local, k)`.
-    pub fn g_segment(&self, f_local: usize, k: usize) -> &[f64] {
-        let s = self.gh_index(f_local, k, 0);
-        &self.g[s..s + self.bins]
-    }
-
-    /// The contiguous `bins`-long Hessian segment of `(f_local, k)`.
-    pub fn h_segment(&self, f_local: usize, k: usize) -> &[f64] {
-        let s = self.gh_index(f_local, k, 0);
-        &self.h[s..s + self.bins]
     }
 
     /// Replace `self` (a child histogram) by `parent − self`: the
@@ -215,22 +206,20 @@ pub fn accumulate_dense(ctx: &HistContext<'_>, idx: &[u32], out: &mut NodeHistog
                 let i = i as usize;
                 let b = col[i] as usize;
                 cnt[b] += 1;
-                let grow = &g[i * d..(i + 1) * d];
-                let hrow = &h[i * d..(i + 1) * d];
-                // One bins-sized slice per output: the `chunks_exact`
-                // pair hoists the `k * bins` index arithmetic and its
-                // bounds checks out of the inner loop while keeping the
-                // ascending-`k` f64 accumulation order bit-identical.
-                for ((gf, hf), (&gv, &hv)) in gh
-                    .chunks_exact_mut(bins)
-                    .zip(hh.chunks_exact_mut(bins))
-                    .zip(grow.iter().zip(hrow.iter()))
-                {
-                    gf[b] += gv as f64;
-                    hf[b] += hv as f64;
-                }
+                add_row(&mut gh[b * d..(b + 1) * d], &g[i * d..(i + 1) * d]);
+                add_row(&mut hh[b * d..(b + 1) * d], &h[i * d..(i + 1) * d]);
             }
         });
+}
+
+/// `acc[k] += row[k]` over one contiguous `d`-row (an instance's f32
+/// gradients or a histogram's own f64 bin row): the bin-major layout
+/// turns each update into a single vectorisable pass.
+#[inline]
+pub(crate) fn add_row<T: Copy + Into<f64>>(acc: &mut [f64], row: &[T]) {
+    for (a, &v) in acc.iter_mut().zip(row) {
+        *a += v.into();
+    }
 }
 
 /// Sparsity-aware accumulation (paper §3.2's CSC storage): explicit
@@ -279,39 +268,34 @@ pub fn accumulate_sparse(
                 let b = b as usize;
                 explicit_in_node += 1;
                 cnt[b] += 1;
-                let grow = &g[i * d..(i + 1) * d];
-                let hrow = &h[i * d..(i + 1) * d];
-                // Same `chunks_exact` pattern as [`accumulate_dense`]:
-                // per-output slices instead of `k * bins + b` indexing,
-                // identical ascending-`k` accumulation order.
-                for ((gf, hf), (&gv, &hv)) in gh
-                    .chunks_exact_mut(bins)
-                    .zip(hh.chunks_exact_mut(bins))
-                    .zip(grow.iter().zip(hrow.iter()))
-                {
-                    gf[b] += gv as f64;
-                    hf[b] += hv as f64;
-                }
+                add_row(&mut gh[b * d..(b + 1) * d], &g[i * d..(i + 1) * d]);
+                add_row(&mut hh[b * d..(b + 1) * d], &h[i * d..(i + 1) * d]);
             }
             // Implicit entries: everything in the node not explicit here.
+            // Per output, the explicit mass is summed over every bin but
+            // `zb` in ascending order from 0.0.
             cnt[zb] += idx.len() as u32 - explicit_in_node;
-            for ((gf, hf), (&ng, &nh)) in gh
-                .chunks_exact_mut(bins)
-                .zip(hh.chunks_exact_mut(bins))
-                .zip(node_g.iter().zip(node_h.iter()))
-            {
-                let mut eg = 0.0;
-                let mut eh = 0.0;
-                for (b, (&gv, &hv)) in gf.iter().zip(hf.iter()).enumerate() {
-                    if b != zb {
-                        eg += gv;
-                        eh += hv;
-                    }
+            let mut eg = vec![0.0; d];
+            let mut eh = vec![0.0; d];
+            for (b, (gr, hr)) in gh.chunks_exact(d).zip(hh.chunks_exact(d)).enumerate() {
+                if b != zb {
+                    add_row(&mut eg, gr);
+                    add_row(&mut eh, hr);
                 }
-                // zero-bin currently holds explicit zero-valued entries
-                // accumulated above; add the implicit remainder.
-                gf[zb] = ng - eg;
-                hf[zb] = nh - eh;
+            }
+            // zero-bin currently holds explicit zero-valued entries
+            // accumulated above; add the implicit remainder.
+            for (zg, (&ng, &e)) in gh[zb * d..(zb + 1) * d]
+                .iter_mut()
+                .zip(node_g.iter().zip(&eg))
+            {
+                *zg = ng - e;
+            }
+            for (zh, (&nh, &e)) in hh[zb * d..(zb + 1) * d]
+                .iter_mut()
+                .zip(node_h.iter().zip(&eh))
+            {
+                *zh = nh - e;
             }
         });
 }
@@ -489,8 +473,8 @@ mod tests {
             let cnt: u32 = out.counts[f * 32..(f + 1) * 32].iter().sum();
             assert_eq!(cnt as usize, idx.len());
             for k in 0..grads.d {
-                let sg: f64 = out.g_segment(f, k).iter().sum();
-                let sh: f64 = out.h_segment(f, k).iter().sum();
+                let sg: f64 = (0..32).map(|b| out.g[out.gh_index(f, k, b)]).sum();
+                let sh: f64 = (0..32).map(|b| out.h[out.gh_index(f, k, b)]).sum();
                 assert!(
                     (sg - node_g[k]).abs() < 1e-6,
                     "f={f} k={k}: {sg} vs {}",

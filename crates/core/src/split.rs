@@ -14,7 +14,7 @@
 //! models exactly that: per-node calls accumulate their work, and one
 //! flush per level charges the three batched kernels.
 
-use crate::hist::NodeHistogram;
+use crate::hist::{add_row, NodeHistogram};
 use gpusim::cost::KernelCost;
 use gpusim::primitives::reduce::segments_per_block;
 use gpusim::{Device, Phase};
@@ -196,6 +196,61 @@ fn constraint_ok(
     true
 }
 
+/// One feature's segmented prefix scan and gain (its share of the
+/// `split_scan_gain` kernel): calls `visit(b, gain)` in ascending `b`
+/// for every threshold that leaves at least `min_instances` on both
+/// sides and, when `monotone` gives a feature's sign and the node's
+/// state, respects the constraint.
+///
+/// The histogram is bin-major, so the left prefix advances one
+/// contiguous `d`-row per bin. Valid thresholds form one range (the left
+/// count only grows), so gains are computed only inside it; each equals
+/// [`split_gain`] bit for bit (terms summed in ascending `k`, then ½).
+#[allow(clippy::too_many_arguments)]
+pub fn scan_feature_gains(
+    hist: &NodeHistogram,
+    f_local: usize,
+    node_g: &[f64],
+    node_h: &[f64],
+    node_count: u32,
+    params: &SplitParams,
+    monotone: Option<(i8, &ConstraintState<'_>)>,
+    mut visit: impl FnMut(usize, f64),
+) {
+    let (bins, d) = (hist.bins, hist.d);
+    let min_child = params.min_instances as u32;
+    let counts = &hist.counts[hist.cnt_index(f_local, 0)..][..bins];
+    let rows = hist.gh_index(f_local, 0, 0)..hist.gh_index(f_local + 1, 0, 0);
+    let (g_rows, h_rows) = (&hist.g[rows.clone()], &hist.h[rows]);
+    let mut gl = vec![0.0f64; d];
+    let mut hl = vec![0.0f64; d];
+    let mut terms = vec![0.0f64; d];
+    let mut left_cnt = 0u32;
+    for b in 0..bins.saturating_sub(1) {
+        left_cnt += counts[b];
+        add_row(&mut gl, &g_rows[b * d..(b + 1) * d]);
+        add_row(&mut hl, &h_rows[b * d..(b + 1) * d]);
+        if left_cnt < min_child {
+            continue;
+        }
+        if node_count - left_cnt < min_child {
+            break; // the right count only shrinks from here on
+        }
+        if let Some((c, state)) = monotone {
+            if !constraint_ok(c, &gl, &hl, node_g, node_h, params.lambda, state) {
+                continue;
+            }
+        }
+        for (t, (((&g, &h), &ng), &nh)) in terms
+            .iter_mut()
+            .zip(gl.iter().zip(&hl).zip(node_g).zip(node_h))
+        {
+            *t = gain_term(g, h, ng - g, nh - h, params.lambda);
+        }
+        visit(b, 0.5 * terms.iter().fold(0.0, |acc, &t| acc + t));
+    }
+}
+
 /// Pure (uncharged) best-split search over features `f_lo..f_hi` (local
 /// indices into `features`/`hist`). Tie-breaking: the lowest feature
 /// index, then the lowest bin.
@@ -217,48 +272,28 @@ fn best_split_impl(
         "feature/histogram mismatch"
     );
     assert!(f_lo <= f_hi && f_hi <= features.len(), "bad feature range");
-    let bins = hist.bins;
     let d = hist.d;
-    let mf = f_hi - f_lo;
-    if mf == 0 || node_count == 0 {
+    if f_lo == f_hi || node_count == 0 {
         return None;
     }
-    let min_child = params.min_instances as u32;
 
     // Per-feature best: the segmented scan + gain + segmented argmax,
     // fused (parallel over feature segments).
     let per_feature: Vec<(usize, f64)> = (f_lo..f_hi)
         .into_par_iter()
         .map(|f_local| {
-            let c = constraints
-                .map(|s| s.monotone[features[f_local] as usize])
-                .unwrap_or(0);
-            let mut gl = vec![0.0f64; d];
-            let mut hl = vec![0.0f64; d];
-            let mut left_cnt = 0u32;
+            let monotone = constraints
+                .map(|s| (s.monotone[features[f_local] as usize], s))
+                .filter(|&(c, _)| c != 0);
             let mut best = (0usize, f64::NEG_INFINITY);
-            for b in 0..bins.saturating_sub(1) {
-                left_cnt += hist.counts[hist.cnt_index(f_local, b)];
-                for k in 0..d {
-                    let at = hist.gh_index(f_local, k, b);
-                    gl[k] += hist.g[at];
-                    hl[k] += hist.h[at];
-                }
-                let right_cnt = node_count - left_cnt;
-                if left_cnt < min_child || right_cnt < min_child {
-                    continue;
-                }
-                if c != 0 {
-                    let state = constraints.expect("c != 0 implies state");
-                    if !constraint_ok(c, &gl, &hl, node_g, node_h, params.lambda, state) {
-                        continue;
-                    }
-                }
-                let gain = split_gain(&gl, &hl, node_g, node_h, params.lambda);
+            let visit = |b, gain| {
                 if gain > best.1 {
                     best = (b, gain);
                 }
-            }
+            };
+            scan_feature_gains(
+                hist, f_local, node_g, node_h, node_count, params, monotone, visit,
+            );
             best
         })
         .collect();
@@ -284,11 +319,9 @@ fn best_split_impl(
     let mut left_count = 0u32;
     for b in 0..=best_bin {
         left_count += hist.counts[hist.cnt_index(f_local, b)];
-        for k in 0..d {
-            let at = hist.gh_index(f_local, k, b);
-            left_g[k] += hist.g[at];
-            left_h[k] += hist.h[at];
-        }
+        let at = hist.gh_index(f_local, 0, b);
+        add_row(&mut left_g, &hist.g[at..at + d]);
+        add_row(&mut left_h, &hist.h[at..at + d]);
     }
     Some(SplitCandidate {
         feature: features[f_local],
@@ -642,6 +675,61 @@ mod tests {
         assert_eq!(v, vec![-2.0, 2.0]);
         let v = leaf_values(&[10.0], &[4.0], 1.0, 0.5);
         assert_eq!(v, vec![-1.0]);
+    }
+
+    #[test]
+    fn single_bin_yields_no_split() {
+        let device = Device::rtx4090();
+        let mut hist = NodeHistogram::new(1, 1, 1);
+        hist.g[0] = -5.0;
+        hist.h[0] = 2.0;
+        hist.counts[0] = 10;
+        assert!(find_best_split(&device, &hist, &[0], &[-5.0], &[2.0], 10, &params()).is_none());
+    }
+
+    #[test]
+    fn all_mass_in_one_bin_leaves_no_valid_threshold() {
+        // Left count is 0 before bin 2 and the right count 0 from it on:
+        // no threshold leaves min_instances = 1 on both sides.
+        let device = Device::rtx4090();
+        let mut hist = polarized_hist();
+        hist.counts = vec![0, 0, 40, 0];
+        assert!(find_best_split(&device, &hist, &[0], &[0.0], &[8.0], 40, &params()).is_none());
+    }
+
+    #[test]
+    fn exactly_min_instances_per_side_is_accepted() {
+        // Only bin 1 leaves 20 instances on each side.
+        let device = Device::rtx4090();
+        let mut p = params();
+        p.min_instances = 20;
+        let s = find_best_split(&device, &polarized_hist(), &[0], &[0.0], &[8.0], 40, &p)
+            .expect("a 20/20 split meets min_instances = 20");
+        assert_eq!((s.bin, s.left_count, s.right_count), (1, 20, 20));
+    }
+
+    #[test]
+    fn exact_ties_pick_lowest_feature_then_lowest_bin() {
+        // Bin 1 is empty, so thresholds 0 and 1 have bit-identical left
+        // sums and gains; both features carry the same histogram.
+        let device = Device::rtx4090();
+        let mut hist = NodeHistogram::new(2, 1, 4);
+        for f in 0..2 {
+            for (b, (g, c)) in [(-5.0, 20), (0.0, 0), (5.0, 20), (0.0, 0)]
+                .into_iter()
+                .enumerate()
+            {
+                let at = hist.gh_index(f, 0, b);
+                hist.g[at] = g;
+                hist.h[at] = if c > 0 { 4.0 } else { 0.0 };
+                let at = hist.cnt_index(f, b);
+                hist.counts[at] = c;
+            }
+        }
+        // Local position decides, not the global ID: position 0 is 5.
+        let s = find_best_split(&device, &hist, &[5, 2], &[0.0], &[8.0], 40, &params())
+            .expect("split must exist");
+        assert_eq!((s.feature, s.bin), (5, 0));
     }
 
     #[test]
