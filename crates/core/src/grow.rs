@@ -3,21 +3,25 @@
 //! The frontier of open nodes is processed one depth level at a time in
 //! a **two-stage pass**:
 //!
-//! 1. **Histogram build** — with the subtraction trick, the level's
-//!    fresh builds run first, in node-index order, into pooled buffers;
-//!    then subtraction-inherited nodes derive `parent − sibling` from
-//!    the parent buffer that survived the previous level. Without it,
-//!    stage 1 is skipped and each histogram is built lazily in stage 2
-//!    over a single hot pooled buffer. Host parallelism lives inside
-//!    each build (over features), not across nodes.
+//! 1. **Histogram build and scan** — one parallel pass per node over
+//!    feature slabs ([`build_and_scan`]): each task produces one
+//!    feature's slab (zero it and accumulate, or derive
+//!    `parent − sibling`) and scans it for that feature's best
+//!    threshold while it is still in cache. With the subtraction trick,
+//!    the level's fresh builds run first, in node-index order, into
+//!    pooled buffers; then subtraction-inherited nodes derive from the
+//!    parent buffer that survived the previous level. Without it, stage
+//!    1 is skipped and each node's pass runs in stage 2 over a single
+//!    hot pooled buffer. Host parallelism lives inside each pass (over
+//!    features), not across nodes.
 //! 2. **Split selection** — nodes are visited strictly in node-index
-//!    order: device charges are issued, the best split is found via
-//!    segmented reductions, and instances are partitioned into the
-//!    children.
+//!    order: device charges are issued, the placement picks the best
+//!    split from the node's per-feature bests, and instances are
+//!    partitioned into the children.
 //!
-//! Because stage 2 is serial and consumes histograms in node-index
-//! order, the grown tree and the simulated timeline are bit-identical
-//! at any host thread count.
+//! Because stage 2 is serial and consumes nodes in node-index order,
+//! the grown tree and the simulated timeline are bit-identical at any
+//! host thread count.
 //! Histogram buffers come from a [`HistogramPool`] reused across
 //! levels and trees; on the subtraction path the parent's buffer stays
 //! alive (owned by the level loop) until both children have resolved.
@@ -30,10 +34,10 @@
 
 use crate::config::{HistogramMethod, TrainConfig};
 use crate::grad::Gradients;
-use crate::hist::{accumulate_only, HistContext, NodeHistogram};
+use crate::hist::{build_and_scan, HistContext, NodeHistogram, SlabSource};
 use crate::memory::HistogramPool;
 use crate::multigpu::Placement;
-use crate::split::{leaf_values, ConstraintState, SplitParams};
+use crate::split::{leaf_values, ConstraintState, NodeScan, SplitParams};
 use crate::tree::Tree;
 use gbdt_data::BinnedDataset;
 use gpusim::Device;
@@ -93,6 +97,45 @@ fn clamp_leaf(values: &mut [f32], bounds: &[(f64, f64)], learning_rate: f32) {
     for (v, &(lo, hi)) in values.iter_mut().zip(bounds) {
         let unscaled = (*v / learning_rate) as f64;
         *v = (unscaled.clamp(lo, hi) as f32) * learning_rate;
+    }
+}
+
+/// A node's histogram and the per-feature `(bin, gain)` bests its
+/// one pass returned.
+type Scanned = (NodeHistogram, Vec<(usize, f64)>);
+
+/// Run a node's one pass ([`build_and_scan`]) from `source` into a
+/// pooled buffer, scanning under the node's totals and monotone bounds.
+fn build_scanned(
+    ctx: &HistContext<'_>,
+    pool: &mut HistogramPool,
+    work: &NodeWork,
+    source: SlabSource<'_>,
+    params: &SplitParams,
+    monotone: &[i8],
+) -> Scanned {
+    let state = work
+        .bounds
+        .as_ref()
+        .map(|bounds| ConstraintState { monotone, bounds });
+    let scan = NodeScan {
+        node_g: &work.g,
+        node_h: &work.h,
+        node_count: work.instances.len() as u32,
+        params,
+        constraints: state.as_ref(),
+    };
+    let mut buf = pool.acquire();
+    let bests = build_and_scan(ctx, source, &mut buf, &scan);
+    (buf, bests)
+}
+
+/// [`SlabSource::Accumulate`] over a node's own instances and totals.
+fn accumulate(work: &NodeWork) -> SlabSource<'_> {
+    SlabSource::Accumulate {
+        idx: &work.instances,
+        node_g: &work.g,
+        node_h: &work.h,
     }
 }
 
@@ -231,16 +274,17 @@ pub(crate) fn grow_tree_placed(
         let mut next_parents: Vec<NodeHistogram> = Vec::new();
         charges.begin_level();
 
-        // ---- stage 1: histogram build ------------------------------
+        // ---- stage 1: histogram build and scan ---------------------
         // Subtraction derives must see their sibling's and parent's
-        // buffers at once, so that path builds the level's fresh
-        // histograms up front, in node order. Otherwise each histogram
-        // is built immediately before its split is selected (in stage
-        // 2), keeping a single hot buffer resident in cache. Either way
-        // every buffer comes from the pool and all device charges are
-        // issued in stage 2's node-index order.
+        // buffers at once, so that path runs the level's fresh passes
+        // up front, in node order. Otherwise each node's pass runs
+        // immediately before its split is selected (in stage 2),
+        // keeping a single hot buffer resident in cache. Either way
+        // every buffer comes from the pool and all build and search
+        // charges are issued in stage 2's node-index order.
         let batch = config.hist.subtraction;
-        let mut hists: Vec<Option<NodeHistogram>> = frontier.iter().map(|_| None).collect();
+        let monotone = &config.monotone_constraints;
+        let mut scanned: Vec<Option<Scanned>> = frontier.iter().map(|_| None).collect();
         if batch {
             // Nodes too small to split get no histogram.
             for (i, work) in frontier.iter().enumerate() {
@@ -252,9 +296,8 @@ pub(crate) fn grow_tree_placed(
                     continue;
                 }
                 if matches!(work.source, HistSource::Build) {
-                    let mut buf = pool.acquire();
-                    accumulate_only(&ctx, &work.instances, &work.g, &work.h, &mut buf);
-                    hists[i] = Some(buf);
+                    let source = accumulate(work);
+                    scanned[i] = Some(build_scanned(&ctx, pool, work, source, &params, monotone));
                 }
             }
 
@@ -265,13 +308,16 @@ pub(crate) fn grow_tree_placed(
                 let HistSource::Derive { parent, sibling } = work.source else {
                     continue;
                 };
-                let mut out = pool.acquire();
-                let sib = hists[sibling]
+                let (sibling, _) = scanned[sibling]
                     .as_ref()
                     .expect("smaller sibling builds fresh in the same level");
-                out.assign_difference(&parents[parent], sib);
+                let source = SlabSource::Difference {
+                    parent: &parents[parent],
+                    sibling,
+                };
+                let derived = build_scanned(&ctx, pool, work, source, &params, monotone);
                 charges.charge_subtract(features, d, config.max_bins);
-                hists[i] = Some(out);
+                scanned[i] = Some(derived);
             }
         }
         for p in parents.drain(..) {
@@ -280,6 +326,12 @@ pub(crate) fn grow_tree_placed(
 
         // ---- stage 2: split selection, node-index order ------------
         for (i, work) in std::mem::take(&mut frontier).into_iter().enumerate() {
+            // Un-batched levels run the node's pass right here, just
+            // before it is consumed (same pooled buffer every node).
+            let node_scan = scanned[i].take().or_else(|| {
+                (!batch && work.instances.len() >= 2 * config.min_instances)
+                    .then(|| build_scanned(&ctx, pool, &work, accumulate(&work), &params, monotone))
+            });
             let NodeWork {
                 tree_node,
                 instances,
@@ -301,18 +353,7 @@ pub(crate) fn grow_tree_placed(
                 leaf_nodes.push(tree_node);
             };
 
-            // Un-batched levels build the histogram right here, just
-            // before it is consumed (same pooled buffer every node).
-            let hist_slot = hists[i].take().or_else(|| {
-                if !batch && instances.len() >= 2 * config.min_instances {
-                    let mut buf = pool.acquire();
-                    accumulate_only(&ctx, &instances, &g, &h, &mut buf);
-                    Some(buf)
-                } else {
-                    None
-                }
-            });
-            let Some(hist) = hist_slot else {
+            let Some((hist, bests)) = node_scan else {
                 // Too small to split (no histogram was built).
                 finalize_leaf(&mut tree, instances, &g, &h);
                 continue;
@@ -325,19 +366,8 @@ pub(crate) fn grow_tree_placed(
                 charges.charge_build(&ctx, &instances, &mut methods_used);
             }
 
-            let state = bounds.as_ref().map(|b| ConstraintState {
-                monotone: &config.monotone_constraints,
-                bounds: b,
-            });
-            let split = charges.find_split(
-                &hist,
-                features,
-                &g,
-                &h,
-                instances.len() as u32,
-                &params,
-                state.as_ref(),
-            );
+            let split =
+                charges.find_split(&hist, features, &bests, instances.len() as u32, &params);
             let Some(split) = split else {
                 pool.release(hist);
                 finalize_leaf(&mut tree, instances, &g, &h);

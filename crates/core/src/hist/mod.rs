@@ -29,6 +29,7 @@ pub mod stats;
 
 use crate::config::{HistOptions, HistogramMethod};
 use crate::grad::Gradients;
+use crate::split::NodeScan;
 use gbdt_data::BinnedDataset;
 use gpusim::cost::KernelCost;
 use gpusim::Device;
@@ -75,9 +76,10 @@ impl NodeHistogram {
         }
     }
 
-    /// Zero all accumulators (reuse between nodes, avoiding
-    /// reallocation of multi-MB buffers). `fill` lowers to `memset`,
-    /// which matters: these buffers are re-zeroed once per node.
+    /// Zero all accumulators, for reusing a buffer in the two-pass
+    /// entry points ([`accumulate_only`]). The grower does not call it:
+    /// its one pass per node zeroes each feature's slab just before
+    /// accumulating into it.
     pub fn reset(&mut self) {
         self.g.fill(0.0);
         self.h.fill(0.0);
@@ -94,6 +96,15 @@ impl NodeHistogram {
     #[inline]
     pub fn cnt_index(&self, f_local: usize, b: usize) -> usize {
         f_local * self.bins + b
+    }
+
+    /// Feature `f_local`'s slab: its `bins × d` g-rows, h-rows and
+    /// `bins` counts, contiguous in the bin-major layout.
+    #[inline]
+    pub(crate) fn slab(&self, f_local: usize) -> (&[f64], &[f64], &[u32]) {
+        let rows = self.gh_index(f_local, 0, 0)..self.gh_index(f_local + 1, 0, 0);
+        let cnt = self.cnt_index(f_local, 0)..self.cnt_index(f_local + 1, 0);
+        (&self.g[rows.clone()], &self.h[rows], &self.counts[cnt])
     }
 
     /// Replace `self` (a child histogram) by `parent − self`: the
@@ -121,20 +132,11 @@ impl NodeHistogram {
     pub fn assign_difference(&mut self, parent: &NodeHistogram, child: &NodeHistogram) {
         assert_eq!(parent.g.len(), child.g.len(), "histogram shape mismatch");
         assert_eq!(self.g.len(), parent.g.len(), "histogram shape mismatch");
-        for ((o, p), c) in self.g.iter_mut().zip(&parent.g).zip(&child.g) {
-            *o = p - c;
-        }
-        for ((o, p), c) in self.h.iter_mut().zip(&parent.h).zip(&child.h) {
-            *o = p - c;
-        }
-        for ((o, p), c) in self
-            .counts
-            .iter_mut()
-            .zip(&parent.counts)
-            .zip(&child.counts)
-        {
-            *o = p.checked_sub(*c).expect("child count exceeds parent count");
-        }
+        difference_slab(
+            (&mut self.g, &mut self.h, &mut self.counts),
+            (&parent.g, &parent.h, &parent.counts),
+            (&child.g, &child.h, &child.counts),
+        );
     }
 
     /// Total bytes of the accumulators (drives tiling decisions and the
@@ -182,6 +184,13 @@ pub(crate) fn density_factor(ctx: &HistContext<'_>) -> f64 {
     }
 }
 
+/// One feature's slab being written: its `bins × d` g-rows, h-rows and
+/// `bins` counts (see [`NodeHistogram::slab`]).
+type SlabMut<'s> = (&'s mut [f64], &'s mut [f64], &'s mut [u32]);
+
+/// A finished slab, as [`NodeHistogram::slab`] returns it.
+type Slab<'s> = (&'s [f64], &'s [f64], &'s [u32]);
+
 /// Reference functional accumulation over the dense binned matrix:
 /// deterministic (parallel over features, sequential over instances).
 pub fn accumulate_dense(ctx: &HistContext<'_>, idx: &[u32], out: &mut NodeHistogram) {
@@ -191,8 +200,6 @@ pub fn accumulate_dense(ctx: &HistContext<'_>, idx: &[u32], out: &mut NodeHistog
     debug_assert_eq!(out.bins, bins);
     debug_assert_eq!(out.num_features, ctx.features.len());
 
-    let g = &ctx.grads.g;
-    let h = &ctx.grads.h;
     let gh_stride = d * bins;
     out.g
         .par_chunks_mut(gh_stride)
@@ -200,16 +207,28 @@ pub fn accumulate_dense(ctx: &HistContext<'_>, idx: &[u32], out: &mut NodeHistog
         .zip(out.counts.par_chunks_mut(bins))
         .enumerate()
         .for_each(|(f_local, ((gh, hh), cnt))| {
-            let f = ctx.features[f_local] as usize;
-            let col = ctx.data.bins.col(f);
-            for &i in idx {
-                let i = i as usize;
-                let b = col[i] as usize;
-                cnt[b] += 1;
-                add_row(&mut gh[b * d..(b + 1) * d], &g[i * d..(i + 1) * d]);
-                add_row(&mut hh[b * d..(b + 1) * d], &h[i * d..(i + 1) * d]);
-            }
+            accumulate_dense_slab(ctx, f_local, idx, (gh, hh, cnt));
         });
+}
+
+/// Add the instances `idx` into feature `f_local`'s slab (one feature
+/// of [`accumulate_dense`]).
+fn accumulate_dense_slab(
+    ctx: &HistContext<'_>,
+    f_local: usize,
+    idx: &[u32],
+    (gh, hh, cnt): SlabMut<'_>,
+) {
+    let d = ctx.d();
+    let (g, h) = (&ctx.grads.g, &ctx.grads.h);
+    let col = ctx.data.bins.col(ctx.features[f_local] as usize);
+    for &i in idx {
+        let i = i as usize;
+        let b = col[i] as usize;
+        cnt[b] += 1;
+        add_row(&mut gh[b * d..(b + 1) * d], &g[i * d..(i + 1) * d]);
+        add_row(&mut hh[b * d..(b + 1) * d], &h[i * d..(i + 1) * d]);
+    }
 }
 
 /// `acc[k] += row[k]` over one contiguous `d`-row (an instance's f32
@@ -220,6 +239,16 @@ pub(crate) fn add_row<T: Copy + Into<f64>>(acc: &mut [f64], row: &[T]) {
     for (a, &v) in acc.iter_mut().zip(row) {
         *a += v.into();
     }
+}
+
+/// Node membership bitmap over all `n` instances (the sparse path
+/// filters each column's explicit entries by it).
+fn node_members(n: usize, idx: &[u32]) -> Vec<bool> {
+    let mut in_node = vec![false; n];
+    for &i in idx {
+        in_node[i as usize] = true;
+    }
+    in_node
 }
 
 /// Sparsity-aware accumulation (paper §3.2's CSC storage): explicit
@@ -238,66 +267,175 @@ pub fn accumulate_sparse(
 ) {
     let d = ctx.d();
     let bins = ctx.bins;
-    let n = ctx.grads.n;
-
-    // Node membership bitmap (one pass over the node's instances).
-    let mut in_node = vec![false; n];
-    for &i in idx {
-        in_node[i as usize] = true;
-    }
-
-    let g = &ctx.grads.g;
-    let h = &ctx.grads.h;
+    let in_node = node_members(ctx.grads.n, idx);
     let gh_stride = d * bins;
-    let sparse = &ctx.data.sparse;
     out.g
         .par_chunks_mut(gh_stride)
         .zip(out.h.par_chunks_mut(gh_stride))
         .zip(out.counts.par_chunks_mut(bins))
         .enumerate()
         .for_each(|(f_local, ((gh, hh), cnt))| {
-            let f = ctx.features[f_local] as usize;
-            let (rows, ebins) = sparse.col(f);
-            let zb = sparse.zero_bin(f) as usize;
-            let mut explicit_in_node = 0u32;
-            for (&r, &b) in rows.iter().zip(ebins) {
-                let i = r as usize;
-                if !in_node[i] {
-                    continue;
-                }
-                let b = b as usize;
-                explicit_in_node += 1;
-                cnt[b] += 1;
-                add_row(&mut gh[b * d..(b + 1) * d], &g[i * d..(i + 1) * d]);
-                add_row(&mut hh[b * d..(b + 1) * d], &h[i * d..(i + 1) * d]);
-            }
-            // Implicit entries: everything in the node not explicit here.
-            // Per output, the explicit mass is summed over every bin but
-            // `zb` in ascending order from 0.0.
-            cnt[zb] += idx.len() as u32 - explicit_in_node;
-            let mut eg = vec![0.0; d];
-            let mut eh = vec![0.0; d];
-            for (b, (gr, hr)) in gh.chunks_exact(d).zip(hh.chunks_exact(d)).enumerate() {
-                if b != zb {
-                    add_row(&mut eg, gr);
-                    add_row(&mut eh, hr);
-                }
-            }
-            // zero-bin currently holds explicit zero-valued entries
-            // accumulated above; add the implicit remainder.
-            for (zg, (&ng, &e)) in gh[zb * d..(zb + 1) * d]
-                .iter_mut()
-                .zip(node_g.iter().zip(&eg))
-            {
-                *zg = ng - e;
-            }
-            for (zh, (&nh, &e)) in hh[zb * d..(zb + 1) * d]
-                .iter_mut()
-                .zip(node_h.iter().zip(&eh))
-            {
-                *zh = nh - e;
-            }
+            let slab = (gh, hh, cnt);
+            accumulate_sparse_slab(ctx, f_local, idx, &in_node, node_g, node_h, slab);
         });
+}
+
+/// One feature of [`accumulate_sparse`]: add the node's explicit
+/// entries into feature `f_local`'s slab, then write the zero bin's
+/// implicit remainder.
+fn accumulate_sparse_slab(
+    ctx: &HistContext<'_>,
+    f_local: usize,
+    idx: &[u32],
+    in_node: &[bool],
+    node_g: &[f64],
+    node_h: &[f64],
+    (gh, hh, cnt): SlabMut<'_>,
+) {
+    let d = ctx.d();
+    let (g, h) = (&ctx.grads.g, &ctx.grads.h);
+    let f = ctx.features[f_local] as usize;
+    let (rows, ebins) = ctx.data.sparse.col(f);
+    let zb = ctx.data.sparse.zero_bin(f) as usize;
+    let mut explicit_in_node = 0u32;
+    for (&r, &b) in rows.iter().zip(ebins) {
+        let i = r as usize;
+        if !in_node[i] {
+            continue;
+        }
+        let b = b as usize;
+        explicit_in_node += 1;
+        cnt[b] += 1;
+        add_row(&mut gh[b * d..(b + 1) * d], &g[i * d..(i + 1) * d]);
+        add_row(&mut hh[b * d..(b + 1) * d], &h[i * d..(i + 1) * d]);
+    }
+    // Implicit entries: everything in the node not explicit here.
+    // Per output, the explicit mass is summed over every bin but `zb`
+    // in ascending order from 0.0.
+    cnt[zb] += idx.len() as u32 - explicit_in_node;
+    let mut eg = vec![0.0; d];
+    let mut eh = vec![0.0; d];
+    for (b, (gr, hr)) in gh.chunks_exact(d).zip(hh.chunks_exact(d)).enumerate() {
+        if b != zb {
+            add_row(&mut eg, gr);
+            add_row(&mut eh, hr);
+        }
+    }
+    // zero-bin currently holds explicit zero-valued entries
+    // accumulated above; add the implicit remainder.
+    for (zg, (&ng, &e)) in gh[zb * d..(zb + 1) * d]
+        .iter_mut()
+        .zip(node_g.iter().zip(&eg))
+    {
+        *zg = ng - e;
+    }
+    for (zh, (&nh, &e)) in hh[zb * d..(zb + 1) * d]
+        .iter_mut()
+        .zip(node_h.iter().zip(&eh))
+    {
+        *zh = nh - e;
+    }
+}
+
+/// Overwrite `out` with `parent − child`, element by element (the
+/// subtraction trick on one slab or on a whole histogram).
+fn difference_slab((og, oh, oc): SlabMut<'_>, (pg, ph, pc): Slab<'_>, (cg, ch, cc): Slab<'_>) {
+    for ((o, p), c) in og.iter_mut().zip(pg).zip(cg) {
+        *o = p - c;
+    }
+    for ((o, p), c) in oh.iter_mut().zip(ph).zip(ch) {
+        *o = p - c;
+    }
+    for ((o, p), c) in oc.iter_mut().zip(pc).zip(cc) {
+        *o = p.checked_sub(*c).expect("child count exceeds parent count");
+    }
+}
+
+/// Where [`build_and_scan`] gets a node's slabs from.
+#[derive(Clone, Copy)]
+pub(crate) enum SlabSource<'a> {
+    /// Zero each slab, then accumulate the node's instances `idx`
+    /// (sparse or dense, as `ctx.opts` says). `node_g`/`node_h` are
+    /// the node's per-output totals, which the sparse zero bin needs.
+    Accumulate {
+        idx: &'a [u32],
+        node_g: &'a [f64],
+        node_h: &'a [f64],
+    },
+    /// The subtraction trick: `parent − sibling`, elementwise.
+    Difference {
+        parent: &'a NodeHistogram,
+        sibling: &'a NodeHistogram,
+    },
+}
+
+/// One pass per node: produce every feature's slab of `out` from
+/// `source` and, in the same parallel task, scan it for the feature's
+/// best threshold while it is still in cache. Returns the per-feature
+/// `(bin, gain)` bests in feature order, for
+/// [`crate::split::pick_split`].
+///
+/// Each slab receives exactly the bytes the two-pass path writes
+/// ([`accumulate_only`] or [`NodeHistogram::assign_difference`]), and
+/// the scan is the one the public split search runs, so the bests and
+/// the split picked from them are bit-identical to that path. Every
+/// element of `out` is written (it may be a dirty pooled buffer).
+pub(crate) fn build_and_scan(
+    ctx: &HistContext<'_>,
+    source: SlabSource<'_>,
+    out: &mut NodeHistogram,
+    scan: &NodeScan<'_>,
+) -> Vec<(usize, f64)> {
+    let d = ctx.d();
+    let bins = ctx.bins;
+    debug_assert_eq!(
+        (out.num_features, out.d, out.bins),
+        (ctx.features.len(), d, bins)
+    );
+    let in_node = match source {
+        SlabSource::Accumulate { idx, .. } if ctx.opts.sparse_aware => {
+            Some(node_members(ctx.grads.n, idx))
+        }
+        SlabSource::Accumulate { .. } => None,
+        SlabSource::Difference { parent, sibling } => {
+            assert_eq!(parent.g.len(), sibling.g.len(), "histogram shape mismatch");
+            assert_eq!(out.g.len(), parent.g.len(), "histogram shape mismatch");
+            None
+        }
+    };
+    let gh_stride = d * bins;
+    out.g
+        .par_chunks_mut(gh_stride)
+        .zip(out.h.par_chunks_mut(gh_stride))
+        .zip(out.counts.par_chunks_mut(bins))
+        .enumerate()
+        .map(|(f_local, ((gh, hh), cnt))| {
+            match source {
+                SlabSource::Accumulate {
+                    idx,
+                    node_g,
+                    node_h,
+                } => {
+                    gh.fill(0.0);
+                    hh.fill(0.0);
+                    cnt.fill(0);
+                    let slab = (&mut *gh, &mut *hh, &mut *cnt);
+                    match &in_node {
+                        Some(in_node) => {
+                            accumulate_sparse_slab(ctx, f_local, idx, in_node, node_g, node_h, slab)
+                        }
+                        None => accumulate_dense_slab(ctx, f_local, idx, slab),
+                    }
+                }
+                SlabSource::Difference { parent, sibling } => difference_slab(
+                    (&mut *gh, &mut *hh, &mut *cnt),
+                    parent.slab(f_local),
+                    sibling.slab(f_local),
+                ),
+            }
+            scan.best_threshold(ctx.features[f_local], gh, hh, cnt)
+        })
+        .collect()
 }
 
 /// Resolve the configured method for a node of `node_size` instances

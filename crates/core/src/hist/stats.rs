@@ -6,7 +6,7 @@
 //! before any kernel runs — predicting cost must not cost a kernel.
 
 use super::HistContext;
-use gpusim::warp::{atomic_replay_excess, sectors_touched, WarpSampler};
+use gpusim::warp::WarpSampler;
 
 /// Feature-sampling cap for measured statistics.
 const MAX_SAMPLED_FEATURES: usize = 8;
@@ -47,6 +47,15 @@ impl Default for ContentionStats {
 }
 
 /// Measure statistics from the real instance list and bin columns.
+///
+/// The only allocation is one sector buffer reused for every warp, and
+/// bins are counted without sorting: a warp's distinct bins with a
+/// 256-bit mask (bins are `u8`), a group of 4's by direct comparison.
+/// The counts equal `gpusim::warp`'s [`atomic_replay_excess`] and
+/// [`sectors_touched`] on the same lanes.
+///
+/// [`atomic_replay_excess`]: gpusim::warp::atomic_replay_excess
+/// [`sectors_touched`]: gpusim::warp::sectors_touched
 pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
     let nn = idx.len();
     let mf = ctx.features.len();
@@ -57,19 +66,18 @@ pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
     let warp = p.warp_size as usize;
     let total_warps = nn.div_ceil(warp);
     let sampler = WarpSampler::with_cap(total_warps, MAX_SAMPLED_WARPS);
+    let warp_lanes = |w: usize| &idx[w * warp..(w * warp + warp).min(nn)];
 
     // --- transactions: depend only on the index pattern, not the feature.
     let mut trans_unpacked = 0usize;
     let mut trans_packed = 0usize;
-    let mut addrs: Vec<u64> = Vec::with_capacity(warp);
+    let mut sectors: Vec<u64> = Vec::with_capacity(2 * warp);
+    let sector = p.sector_bytes as u64;
     for w in sampler.indices() {
-        let s = w * warp;
-        let e = (s + warp).min(nn);
-        addrs.clear();
-        addrs.extend(idx[s..e].iter().map(|&i| i as u64));
-        trans_unpacked += sectors_touched(&addrs, 1, p.sector_bytes);
-        let packed_addrs: Vec<u64> = addrs.iter().map(|a| (a / 4) * 4).collect();
-        trans_packed += sectors_touched(&packed_addrs, 4, p.sector_bytes);
+        let lanes = warp_lanes(w);
+        let addr = lanes.iter().map(|&i| i as u64);
+        trans_unpacked += count_sectors(&mut sectors, addr.clone(), 1, sector);
+        trans_packed += count_sectors(&mut sectors, addr.map(|a| (a / 4) * 4), 4, sector);
     }
     let warp_scale = sampler.scale();
 
@@ -79,24 +87,30 @@ pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
     let mut group_distinct = 0u64;
     let mut group_lanes = 0u64;
     let mut sampled_features = 0usize;
-    let mut bin_addrs: Vec<u64> = Vec::with_capacity(warp);
     let mut fi = 0;
     while fi < mf {
         sampled_features += 1;
         let col = ctx.data.bins.col(ctx.features[fi] as usize);
         for w in sampler.indices() {
-            let s = w * warp;
-            let e = (s + warp).min(nn);
-            bin_addrs.clear();
-            bin_addrs.extend(idx[s..e].iter().map(|&i| col[i as usize] as u64));
-            excess += atomic_replay_excess(&bin_addrs);
+            let lanes = warp_lanes(w);
+            // Lanes minus distinct bins: the replayed atomics.
+            let mut seen = [0u64; 4];
+            for &i in lanes {
+                let b = col[i as usize];
+                seen[(b >> 6) as usize] |= 1 << (b & 63);
+            }
+            let distinct: u32 = seen.iter().map(|m| m.count_ones()).sum();
+            excess += lanes.len() as u64 - distinct as u64;
             // Register-level pre-aggregation potential of packed groups
             // of 4 consecutive instances.
-            for group in bin_addrs.chunks(4) {
-                let mut g = group.to_vec();
-                g.sort_unstable();
-                g.dedup();
-                group_distinct += g.len() as u64;
+            for group in lanes.chunks(4) {
+                let mut bins = [0u8; 4];
+                for (b, &i) in bins.iter_mut().zip(group) {
+                    *b = col[i as usize];
+                }
+                let bins = &bins[..group.len()];
+                let fresh = (0..bins.len()).filter(|&j| !bins[..j].contains(&bins[j]));
+                group_distinct += fresh.count() as u64;
                 group_lanes += group.len() as u64;
             }
         }
@@ -114,6 +128,29 @@ pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
             group_distinct as f64 / group_lanes as f64
         },
     }
+}
+
+/// Distinct `sector`-byte sectors touched by `access_bytes`-wide reads
+/// at `addrs`, counted in the reused buffer `scratch` (the count
+/// [`gpusim::warp::sectors_touched`] returns).
+fn count_sectors(
+    scratch: &mut Vec<u64>,
+    addrs: impl Iterator<Item = u64>,
+    access_bytes: u64,
+    sector: u64,
+) -> usize {
+    scratch.clear();
+    for a in addrs {
+        let first = a / sector;
+        let last = (a + access_bytes - 1) / sector;
+        scratch.push(first);
+        if last != first {
+            scratch.push(last);
+        }
+    }
+    scratch.sort_unstable();
+    scratch.dedup();
+    scratch.len()
 }
 
 /// Closed-form expectation of the same statistics, used by the adaptive
@@ -186,6 +223,146 @@ mod tests {
     use super::*;
     use crate::config::HistOptions;
     use gpusim::Device;
+
+    /// The sort-based computation `measure` replaced, kept verbatim as
+    /// the oracle: one sorted copy per warp and per group of 4.
+    fn measure_sorted(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
+        use gpusim::warp::{atomic_replay_excess, sectors_touched};
+        let nn = idx.len();
+        let mf = ctx.features.len();
+        if nn == 0 || mf == 0 {
+            return ContentionStats::default();
+        }
+        let p = &ctx.device.model().params;
+        let warp = p.warp_size as usize;
+        let total_warps = nn.div_ceil(warp);
+        let sampler = WarpSampler::with_cap(total_warps, MAX_SAMPLED_WARPS);
+        let mut trans_unpacked = 0usize;
+        let mut trans_packed = 0usize;
+        let mut addrs: Vec<u64> = Vec::with_capacity(warp);
+        for w in sampler.indices() {
+            let s = w * warp;
+            let e = (s + warp).min(nn);
+            addrs.clear();
+            addrs.extend(idx[s..e].iter().map(|&i| i as u64));
+            trans_unpacked += sectors_touched(&addrs, 1, p.sector_bytes);
+            let packed_addrs: Vec<u64> = addrs.iter().map(|a| (a / 4) * 4).collect();
+            trans_packed += sectors_touched(&packed_addrs, 4, p.sector_bytes);
+        }
+        let warp_scale = sampler.scale();
+        let f_stride = mf.div_ceil(MAX_SAMPLED_FEATURES).max(1);
+        let mut excess = 0u64;
+        let mut group_distinct = 0u64;
+        let mut group_lanes = 0u64;
+        let mut sampled_features = 0usize;
+        let mut bin_addrs: Vec<u64> = Vec::with_capacity(warp);
+        let mut fi = 0;
+        while fi < mf {
+            sampled_features += 1;
+            let col = ctx.data.bins.col(ctx.features[fi] as usize);
+            for w in sampler.indices() {
+                let s = w * warp;
+                let e = (s + warp).min(nn);
+                bin_addrs.clear();
+                bin_addrs.extend(idx[s..e].iter().map(|&i| col[i as usize] as u64));
+                excess += atomic_replay_excess(&bin_addrs);
+                for group in bin_addrs.chunks(4) {
+                    let mut g = group.to_vec();
+                    g.sort_unstable();
+                    g.dedup();
+                    group_distinct += g.len() as u64;
+                    group_lanes += group.len() as u64;
+                }
+            }
+            fi += f_stride;
+        }
+        let feature_scale = mf as f64 / sampled_features as f64;
+        ContentionStats {
+            replay_excess: excess as f64 * warp_scale * feature_scale,
+            bin_transactions_unpacked: trans_unpacked as f64 * warp_scale * mf as f64,
+            bin_transactions_packed: trans_packed as f64 * warp_scale * mf as f64,
+            packed_aggregation_ratio: if group_lanes == 0 {
+                1.0
+            } else {
+                group_distinct as f64 / group_lanes as f64
+            },
+        }
+    }
+
+    fn stats_bits(s: &ContentionStats) -> [u64; 4] {
+        [
+            s.replay_excess.to_bits(),
+            s.bin_transactions_unpacked.to_bits(),
+            s.bin_transactions_packed.to_bits(),
+            s.packed_aggregation_ratio.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn measure_matches_the_sort_based_oracle() {
+        use gbdt_data::{BinnedDataset, DenseMatrix};
+        // Feature 0 takes 256 distinct values (bins 0..=255), feature 1
+        // is constant (every lane in one bin), feature 2 alternates two
+        // values; more than MAX_SAMPLED_FEATURES features so sampling
+        // strides over them.
+        let n = 1000;
+        let m = 11;
+        let mut x = vec![0.0f32; n * m];
+        for i in 0..n {
+            x[i * m] = (i % 256) as f32;
+            x[i * m + 1] = 3.0;
+            x[i * m + 2] = (i % 2) as f32;
+            for f in 3..m {
+                x[i * m + f] = ((i * (f + 7) * 31) % 97) as f32;
+            }
+        }
+        let data = BinnedDataset::build(&DenseMatrix::new(n, m, x), 256);
+        let (_, _, grads) = fixture(n, 4, 2, 5);
+        let col0 = data.bins.col(0);
+        let (lo, hi) = (
+            col0.iter().position(|&b| b == 0),
+            col0.iter().position(|&b| b == 255),
+        );
+        let (lo, hi) = (lo.expect("bin 0") as u32, hi.expect("bin 255") as u32);
+        assert!(data.bins.col(1).iter().all(|&b| b == data.bins.col(1)[0]));
+        let device = Device::rtx4090();
+
+        let node_lists: Vec<Vec<u32>> = vec![
+            // Every lane in one bin on every feature.
+            vec![7; 64],
+            // Bins 0 and 255 side by side in each group and warp.
+            (0..96).map(|j| if j % 2 == 0 { lo } else { hi }).collect(),
+            // Partial last warp (70 = 2×32 + 6) and partial last group.
+            (0..70).collect(),
+            // One partial warp, one partial group.
+            (0..3).map(|j| j * 255).collect(),
+            // Scattered, descending, beyond the warp-sampling cap.
+            (0..n as u32).rev().filter(|i| i % 3 != 1).collect(),
+            (0..n as u32).map(|i| (i * 389) % n as u32).collect(),
+        ];
+        for (features, label) in [
+            ((0..m as u32).collect::<Vec<_>>(), "all features"),
+            (vec![1], "constant feature"),
+            (vec![0, 2], "wide and binary"),
+        ] {
+            let ctx = HistContext {
+                device: &device,
+                data: &data,
+                grads: &grads,
+                features: &features,
+                bins: 256,
+                opts: HistOptions::default(),
+            };
+            for idx in &node_lists {
+                assert_eq!(
+                    stats_bits(&measure(&ctx, idx)),
+                    stats_bits(&measure_sorted(&ctx, idx)),
+                    "{label}, {} lanes",
+                    idx.len()
+                );
+            }
+        }
+    }
 
     #[test]
     fn measured_stats_scale_with_node_size() {

@@ -54,8 +54,7 @@ use crate::hist::{charge_method_on, resolve_method, HistContext, NodeHistogram};
 use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch};
 use crate::split::{
-    find_best_split_constrained, find_best_split_range, ConstraintState, LevelSplitCharges,
-    SplitCandidate, SplitParams,
+    charge_node_search, pick_split, LevelSplitCharges, SplitCandidate, SplitParams,
 };
 use crate::trainer::TrainReport;
 use gbdt_data::Dataset;
@@ -882,35 +881,28 @@ impl LevelCharges<'_, '_> {
         }
     }
 
-    /// Best split of one node from its full histogram: one batched
-    /// search on a single device; per-device searches of each column
-    /// range and a strictly-greater-gain merge (exact ties resolve to
-    /// the lowest range, matching the global argmax) under feature
-    /// parallelism; a lead search with replicated charges under data
-    /// parallelism.
-    #[allow(clippy::too_many_arguments)]
+    /// Best split of one node from its per-feature `bests` (as the
+    /// grower's one pass over `hist` returned them): over all features
+    /// in one batched search on a single device; per device over its
+    /// column range, then a strictly-greater-gain merge (exact ties
+    /// resolve to the lowest range, matching the global argmax) under
+    /// feature parallelism; a lead search with replicated charges under
+    /// data parallelism.
     pub(crate) fn find_split(
         &mut self,
         hist: &NodeHistogram,
         features: &[u32],
-        node_g: &[f64],
-        node_h: &[f64],
+        bests: &[(usize, f64)],
         count: u32,
         params: &SplitParams,
-        constraints: Option<&ConstraintState<'_>>,
     ) -> Option<SplitCandidate> {
         self.searched += 1;
+        let (d, bins) = (hist.d, hist.bins);
         match self.placement {
-            Placement::Single(_) => find_best_split_constrained(
-                &mut self.split,
-                hist,
-                features,
-                node_g,
-                node_h,
-                count,
-                params,
-                constraints,
-            ),
+            Placement::Single(_) => {
+                self.split.add(features.len(), d, bins);
+                pick_split(hist, features, 0, bests, count, params)
+            }
             Placement::FeatureParallel { devices, ranges } => {
                 let mut best: Option<SplitCandidate> = None;
                 for (rank, (dev, &range)) in devices.iter().zip(ranges).enumerate() {
@@ -918,18 +910,8 @@ impl LevelCharges<'_, '_> {
                         dev.wait_event(0, built);
                     }
                     let (lo, hi) = local_range(features, range);
-                    let local = find_best_split_range(
-                        dev,
-                        hist,
-                        features,
-                        lo,
-                        hi,
-                        node_g,
-                        node_h,
-                        count,
-                        params,
-                        constraints,
-                    );
+                    charge_node_search(dev, hi - lo, d, bins, params.segments_c);
+                    let local = pick_split(hist, features, lo, &bests[lo..hi], count, params);
                     self.candidate_bytes[rank] +=
                         16 + local.as_ref().map_or(0, |c| c.left_g.len() * 16);
                     if let Some(c) = local {
@@ -943,19 +925,9 @@ impl LevelCharges<'_, '_> {
             Placement::DataParallel { devices } => {
                 // After the all-reduce every device holds the full
                 // histogram and finds the identical best split.
-                let split = find_best_split_range(
-                    &devices[0],
-                    hist,
-                    features,
-                    0,
-                    features.len(),
-                    node_g,
-                    node_h,
-                    count,
-                    params,
-                    constraints,
-                );
-                let cells = features.len() * hist.d * hist.bins;
+                charge_node_search(&devices[0], features.len(), d, bins, params.segments_c);
+                let split = pick_split(hist, features, 0, bests, count, params);
+                let cells = features.len() * d * bins;
                 for dev in &devices[1..] {
                     // lint:allow(sanitize): replica of the lead's split search, whose batched kernels trace_split_level replays
                     dev.charge_kernel(

@@ -92,7 +92,8 @@ impl LevelSplitCharges {
         Self::default()
     }
 
-    fn add(&mut self, mf: usize, d: usize, bins: usize) {
+    /// Book one node's search over `mf` features of `d × bins` cells.
+    pub(crate) fn add(&mut self, mf: usize, d: usize, bins: usize) {
         self.scan_elems += (mf * d * bins) as f64;
         self.gain_candidates += (mf * bins) as f64;
         self.segments += mf as f64;
@@ -200,12 +201,9 @@ fn constraint_ok(
 /// `split_scan_gain` kernel): calls `visit(b, gain)` in ascending `b`
 /// for every threshold that leaves at least `min_instances` on both
 /// sides and, when `monotone` gives a feature's sign and the node's
-/// state, respects the constraint.
-///
-/// The histogram is bin-major, so the left prefix advances one
-/// contiguous `d`-row per bin. Valid thresholds form one range (the left
-/// count only grows), so gains are computed only inside it; each equals
-/// [`split_gain`] bit for bit (terms summed in ascending `k`, then ½).
+/// state, respects the constraint. A thin wrapper over the slab-level
+/// scan the grower's one pass runs, applied to the feature's slab of
+/// `hist`.
 #[allow(clippy::too_many_arguments)]
 pub fn scan_feature_gains(
     hist: &NodeHistogram,
@@ -215,13 +213,37 @@ pub fn scan_feature_gains(
     node_count: u32,
     params: &SplitParams,
     monotone: Option<(i8, &ConstraintState<'_>)>,
+    visit: impl FnMut(usize, f64),
+) {
+    let (g_rows, h_rows, counts) = hist.slab(f_local);
+    scan_slab_gains(
+        g_rows, h_rows, counts, node_g, node_h, node_count, params, monotone, visit,
+    );
+}
+
+/// [`scan_feature_gains`] over one feature's slab given directly:
+/// `counts` holds its `bins` instance counts and `g_rows`/`h_rows` its
+/// `bins` contiguous `d`-rows (see [`NodeHistogram::slab`]).
+///
+/// The left prefix advances one `d`-row per bin. Valid thresholds form
+/// one range (the left count only grows), so gains are computed only
+/// inside it; each equals [`split_gain`] bit for bit (terms summed in
+/// ascending `k`, then ½).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn scan_slab_gains(
+    g_rows: &[f64],
+    h_rows: &[f64],
+    counts: &[u32],
+    node_g: &[f64],
+    node_h: &[f64],
+    node_count: u32,
+    params: &SplitParams,
+    monotone: Option<(i8, &ConstraintState<'_>)>,
     mut visit: impl FnMut(usize, f64),
 ) {
-    let (bins, d) = (hist.bins, hist.d);
+    let bins = counts.len();
+    let d = g_rows.len() / bins.max(1);
     let min_child = params.min_instances as u32;
-    let counts = &hist.counts[hist.cnt_index(f_local, 0)..][..bins];
-    let rows = hist.gh_index(f_local, 0, 0)..hist.gh_index(f_local + 1, 0, 0);
-    let (g_rows, h_rows) = (&hist.g[rows.clone()], &hist.h[rows]);
     let mut gl = vec![0.0f64; d];
     let mut hl = vec![0.0f64; d];
     let mut terms = vec![0.0f64; d];
@@ -251,9 +273,116 @@ pub fn scan_feature_gains(
     }
 }
 
+/// Everything one node's per-feature scan needs besides the slab: the
+/// node's totals and size, the acceptance parameters, and its monotone
+/// constraints (if any).
+#[derive(Clone, Copy)]
+pub(crate) struct NodeScan<'a> {
+    /// Per-output gradient totals of the node.
+    pub node_g: &'a [f64],
+    /// Per-output Hessian totals of the node.
+    pub node_h: &'a [f64],
+    /// Instances in the node.
+    pub node_count: u32,
+    /// Split acceptance parameters.
+    pub params: &'a SplitParams,
+    /// Monotone signs and the node's leaf-value bounds.
+    pub constraints: Option<&'a ConstraintState<'a>>,
+}
+
+impl NodeScan<'_> {
+    /// Best threshold of global feature `feature` from its slab:
+    /// `(bin, gain)` with the highest gain, the lowest bin on ties, or
+    /// `(0, −∞)` when no threshold is admissible.
+    pub(crate) fn best_threshold(
+        &self,
+        feature: u32,
+        g_rows: &[f64],
+        h_rows: &[f64],
+        counts: &[u32],
+    ) -> (usize, f64) {
+        let monotone = self
+            .constraints
+            .map(|s| (s.monotone[feature as usize], s))
+            .filter(|&(c, _)| c != 0);
+        let mut best = (0usize, f64::NEG_INFINITY);
+        let visit = |b, gain| {
+            if gain > best.1 {
+                best = (b, gain);
+            }
+        };
+        scan_slab_gains(
+            g_rows,
+            h_rows,
+            counts,
+            self.node_g,
+            self.node_h,
+            self.node_count,
+            self.params,
+            monotone,
+            visit,
+        );
+        best
+    }
+}
+
+/// Pick a node's split from the per-feature bests of the feature
+/// positions `f_lo..f_lo + bests.len()` (`bests[i]` belongs to
+/// position `f_lo + i`): the highest gain, the lowest position on
+/// ties, kept only if it beats `min_gain`. The winner's left-side sums
+/// are read back from `hist`.
+pub(crate) fn pick_split(
+    hist: &NodeHistogram,
+    features: &[u32],
+    f_lo: usize,
+    bests: &[(usize, f64)],
+    node_count: u32,
+    params: &SplitParams,
+) -> Option<SplitCandidate> {
+    if node_count == 0 {
+        return None;
+    }
+    // Global argmax across features (lowest index wins ties).
+    let mut best_fi = 0usize;
+    let mut best_gain = f64::NEG_INFINITY;
+    for (i, &(_, g)) in bests.iter().enumerate() {
+        if g > best_gain {
+            best_gain = g;
+            best_fi = i;
+        }
+    }
+    if !best_gain.is_finite() || best_gain <= params.min_gain {
+        return None;
+    }
+    let f_local = f_lo + best_fi;
+    let best_bin = bests[best_fi].0;
+
+    // Reconstruct the winning split's left-side sums.
+    let d = hist.d;
+    let (g_rows, h_rows, counts) = hist.slab(f_local);
+    let mut left_g = vec![0.0f64; d];
+    let mut left_h = vec![0.0f64; d];
+    let mut left_count = 0u32;
+    for b in 0..=best_bin {
+        left_count += counts[b];
+        add_row(&mut left_g, &g_rows[b * d..(b + 1) * d]);
+        add_row(&mut left_h, &h_rows[b * d..(b + 1) * d]);
+    }
+    Some(SplitCandidate {
+        feature: features[f_local],
+        bin: best_bin as u8,
+        gain: best_gain,
+        left_count,
+        right_count: node_count - left_count,
+        left_g,
+        left_h,
+    })
+}
+
 /// Pure (uncharged) best-split search over features `f_lo..f_hi` (local
-/// indices into `features`/`hist`). Tie-breaking: the lowest feature
-/// index, then the lowest bin.
+/// indices into `features`/`hist`): every feature's scan, then
+/// [`pick_split`]. Tie-breaking: the lowest feature index, then the
+/// lowest bin.
 #[allow(clippy::too_many_arguments)]
 fn best_split_impl(
     hist: &NodeHistogram,
@@ -272,75 +401,50 @@ fn best_split_impl(
         "feature/histogram mismatch"
     );
     assert!(f_lo <= f_hi && f_hi <= features.len(), "bad feature range");
-    let d = hist.d;
     if f_lo == f_hi || node_count == 0 {
         return None;
     }
-
+    let scan = NodeScan {
+        node_g,
+        node_h,
+        node_count,
+        params,
+        constraints,
+    };
     // Per-feature best: the segmented scan + gain + segmented argmax,
     // fused (parallel over feature segments).
-    let per_feature: Vec<(usize, f64)> = (f_lo..f_hi)
+    let bests: Vec<(usize, f64)> = (f_lo..f_hi)
         .into_par_iter()
         .map(|f_local| {
-            let monotone = constraints
-                .map(|s| (s.monotone[features[f_local] as usize], s))
-                .filter(|&(c, _)| c != 0);
-            let mut best = (0usize, f64::NEG_INFINITY);
-            let visit = |b, gain| {
-                if gain > best.1 {
-                    best = (b, gain);
-                }
-            };
-            scan_feature_gains(
-                hist, f_local, node_g, node_h, node_count, params, monotone, visit,
-            );
-            best
+            let (g_rows, h_rows, counts) = hist.slab(f_local);
+            scan.best_threshold(features[f_local], g_rows, h_rows, counts)
         })
         .collect();
+    pick_split(hist, features, f_lo, &bests, node_count, params)
+}
 
-    // Global argmax across features (lowest index wins ties).
-    let mut best_fi = 0usize;
-    let mut best_gain = f64::NEG_INFINITY;
-    for (i, &(_, g)) in per_feature.iter().enumerate() {
-        if g > best_gain {
-            best_gain = g;
-            best_fi = i;
-        }
-    }
-    if !best_gain.is_finite() || best_gain <= params.min_gain {
-        return None;
-    }
-    let f_local = f_lo + best_fi;
-    let best_bin = per_feature[best_fi].0;
-
-    // Reconstruct the winning split's left-side sums.
-    let mut left_g = vec![0.0f64; d];
-    let mut left_h = vec![0.0f64; d];
-    let mut left_count = 0u32;
-    for b in 0..=best_bin {
-        left_count += hist.counts[hist.cnt_index(f_local, b)];
-        let at = hist.gh_index(f_local, 0, b);
-        add_row(&mut left_g, &hist.g[at..at + d]);
-        add_row(&mut left_h, &hist.h[at..at + d]);
-    }
-    Some(SplitCandidate {
-        feature: features[f_local],
-        bin: best_bin as u8,
-        gain: best_gain,
-        left_count,
-        right_count: node_count - left_count,
-        left_g,
-        left_h,
-    })
+/// Charge `device` for one node's own unbatched search over `mf`
+/// features of `d × bins` cells: the three split kernels, even for an
+/// empty range.
+pub(crate) fn charge_node_search(
+    device: &Device,
+    mf: usize,
+    d: usize,
+    bins: usize,
+    segments_c: f64,
+) {
+    let mut acc = LevelSplitCharges::new();
+    acc.add(mf, d, bins);
+    acc.flush(device, device.model().params.sm_count, segments_c);
 }
 
 /// Best split over the feature positions `f_lo..f_hi` of `features`
 /// (optionally under monotone constraints), charging `device` for this
 /// node's own unbatched scan/argmax kernels — even for an empty range.
-/// The multi-GPU placements search per node with it: feature-parallel
-/// devices each over their own column range, data-parallel on the lead
-/// over all columns. The single-device grower batches a level's
-/// searches instead ([`find_best_split_constrained`]).
+/// These are the charges a multi-GPU placement issues per node in the
+/// grower (feature-parallel devices each over their own column range,
+/// data-parallel on the lead over all columns), whose own search picks
+/// from the per-feature bests of its one pass per node instead.
 #[allow(clippy::too_many_arguments)]
 pub fn find_best_split_range(
     device: &Device,
@@ -365,9 +469,7 @@ pub fn find_best_split_range(
         params,
         constraints,
     );
-    let mut acc = LevelSplitCharges::new();
-    acc.add(f_hi - f_lo, hist.d, hist.bins);
-    acc.flush(device, device.model().params.sm_count, params.segments_c);
+    charge_node_search(device, f_hi - f_lo, hist.d, hist.bins, params.segments_c);
     out
 }
 
