@@ -171,14 +171,19 @@ echo "==> telemetry golden schema gate (Prometheus + JSON exporters pinned)"
 # are golden-pinned; drift fails here before it reaches a dashboard.
 cargo test -q -p telemetry >/dev/null
 
-echo "==> unified run report smoke (phase ns must reconcile bitwise with the ledger)"
-# `repro report` trains + serves on one telemetry-carrying device and
-# exits nonzero unless every per-phase nanosecond total in the registry
-# matches the device ledger bit-for-bit, both directions.
+echo "==> unified run report smoke (served scores match, JSON round-trips, schema tag, per-phase totals, Prometheus counters)"
+# `repro report` trains + serves on one fully observed device and exits
+# nonzero unless the served scores match Model::predict and the JSON
+# report round-trips with its schema tag; the greps below check the tag,
+# the ledger's per-phase totals and the Prometheus training counters.
 cargo run --release -q -p gbdt-bench --bin repro -- report --smoke \
   --out /tmp/REPORT_repro.json --prom /tmp/metrics.prom >/dev/null
 grep -q 'telemetry_schema_version' /tmp/REPORT_repro.json || {
   echo "ci: run report missing telemetry schema version" >&2
+  exit 1
+}
+grep -q '"by_phase"' /tmp/REPORT_repro.json || {
+  echo "ci: run report missing the ledger's per-phase totals" >&2
   exit 1
 }
 grep -q 'rounds_total' /tmp/metrics.prom || {

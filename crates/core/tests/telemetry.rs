@@ -303,46 +303,6 @@ fn telemetry_is_invisible_to_serving() {
     );
 }
 
-/// The per-phase nanosecond series in the registry must reconcile
-/// *bitwise* with the device ledger — same clamps, same accumulation
-/// order, both directions.
-#[test]
-fn phase_ns_reconciles_bitwise_with_the_ledger() {
-    let ds = dataset();
-    let dev = Device::new(0, DeviceProps::rtx4090());
-    let tel = dev.enable_telemetry();
-    let model = GpuTrainer::new(
-        dev.clone(),
-        config(HistogramMethod::Adaptive, OutputSketch::TopOutputs(2), 2),
-    )
-    .fit(&ds);
-    // Fold serving into the same timeline so the Serve phase is present.
-    let ens = DeviceEnsemble::upload(dev.clone(), &model.compile());
-    let mut server = BatchServer::new(ens, BatchConfig::default()).expect("valid config");
-    let t0 = dev.now_ns();
-    for i in 0..8 {
-        server.submit(t0 + i as f64, ds.features().row(i));
-    }
-    server.flush();
-
-    let ledger = dev.summary();
-    let snap = tel.snapshot();
-    for (phase, ledger_ns) in &ledger.by_phase {
-        assert_eq!(
-            snap.phase_ns.get(phase.name()).map(|ns| ns.to_bits()),
-            Some(ledger_ns.to_bits()),
-            "phase {} drifted from the ledger",
-            phase.name()
-        );
-    }
-    for name in snap.phase_ns.keys() {
-        assert!(
-            ledger.by_phase.keys().any(|p| p.name() == name),
-            "telemetry invented phase {name}"
-        );
-    }
-}
-
 /// Acceptance criterion: a seeded `DeviceLost` run leaves a non-empty
 /// flight-recorder postmortem whose JSON parses, names the failure,
 /// and carries the events leading up to it.

@@ -150,10 +150,19 @@ pub struct Device {
     props: DeviceProps,
     model: CostModel,
     ledger: Mutex<Ledger>,
-    sanitizer: Mutex<Option<Arc<Sanitizer>>>,
-    profiler: Mutex<Option<Arc<Profiler>>>,
-    fault: Mutex<Option<Arc<FaultInjector>>>,
-    telemetry: Mutex<Option<Arc<Telemetry>>>,
+    observers: Mutex<Observers>,
+}
+
+/// What is attached to a device. Every observer reads the ledger's own
+/// [`KernelRecord`] after the charge is booked, so none can disagree
+/// with it; only the fault injector acts before the charge, deciding
+/// whether a lost device books it at all.
+#[derive(Default)]
+struct Observers {
+    sanitizer: Option<Arc<Sanitizer>>,
+    profiler: Option<Arc<Profiler>>,
+    fault: Option<Arc<FaultInjector>>,
+    telemetry: Option<Arc<Telemetry>>,
 }
 
 /// A lightweight handle binding a [`Device`] to a stream id, so call
@@ -222,10 +231,7 @@ impl Device {
             props,
             model,
             ledger: Mutex::new(Ledger::with_slots(Self::DEFAULT_RECORD_LIMIT, slots)),
-            sanitizer: Mutex::new(None),
-            profiler: Mutex::new(None),
-            fault: Mutex::new(None),
-            telemetry: Mutex::new(None),
+            observers: Mutex::new(Observers::default()),
         })
     }
 
@@ -276,32 +282,7 @@ impl Device {
         cost: &KernelCost,
         stream: usize,
     ) {
-        if let Some(inj) = self.fault.lock().clone() {
-            if !inj.on_charge(self.id, name) {
-                // Device lost: nothing executes on a fallen device.
-                return;
-            }
-        }
-        let ns = self.model.kernel_ns(cost);
-        let slots = if self.model.saturates_device(cost) {
-            self.ledger.lock().compute_slots()
-        } else {
-            1
-        };
-        let start_ns = self
-            .ledger
-            .lock()
-            .charge_scheduled(stream, name, phase, ns, slots);
-        if let Some(prof) = self.profiler.lock().clone() {
-            // Observer only: the ledger charge above is complete and the
-            // profiler never feeds anything back into it.
-            let limited = self.model.serialization_limited(cost);
-            prof.on_kernel(name, phase, ns, start_ns, cost.dram_bytes, limited, stream);
-        }
-        if let Some(tel) = self.telemetry.lock().clone() {
-            // Same observer contract as the profiler above.
-            tel.record_charge(self.id, name, phase.name(), ns, start_ns, stream);
-        }
+        self.charge(name, phase, self.model.kernel_ns(cost), Some(cost), stream);
     }
 
     /// Charge a raw duration on the default stream (used by collectives
@@ -314,20 +295,61 @@ impl Device {
     /// compute slots, so it overlaps freely with kernels on other
     /// streams (copy and collective engines do not contend for SMs).
     pub fn charge_ns_on(&self, name: &'static str, phase: Phase, ns: f64, stream: usize) {
-        if let Some(inj) = self.fault.lock().clone() {
+        self.charge(name, phase, ns, None, stream);
+    }
+
+    /// The one charge path: ask the fault injector, book the ledger
+    /// once, then hand the booked record to the attached observers.
+    /// `cost` is `Some` for compute kernels and `None` for engine work.
+    fn charge(
+        &self,
+        name: &'static str,
+        phase: Phase,
+        ns: f64,
+        cost: Option<&KernelCost>,
+        stream: usize,
+    ) {
+        let (fault, profiler, telemetry) = {
+            let obs = self.observers.lock();
+            (
+                obs.fault.clone(),
+                obs.profiler.clone(),
+                obs.telemetry.clone(),
+            )
+        };
+        if let Some(inj) = fault {
             if !inj.on_charge(self.id, name) {
+                // Device lost: nothing executes on a fallen device.
                 return;
             }
         }
-        let start_ns = self
-            .ledger
-            .lock()
-            .charge_scheduled(stream, name, phase, ns, 0);
-        if let Some(prof) = self.profiler.lock().clone() {
-            prof.on_kernel(name, phase, ns, start_ns, 0.0, false, stream);
+        let saturates = cost.is_some_and(|c| self.model.saturates_device(c));
+        let record = {
+            let mut ledger = self.ledger.lock();
+            let slots = match cost {
+                None => 0,
+                Some(_) if saturates => ledger.compute_slots(),
+                Some(_) => 1,
+            };
+            ledger.book(stream, name, phase, ns, slots)
+        };
+        // Observers only: the record is final and nothing they do feeds
+        // back into the ledger.
+        if let Some(prof) = profiler {
+            let (dram_bytes, limited) = cost.map_or((0.0, false), |c| {
+                (c.dram_bytes, self.model.serialization_limited(c))
+            });
+            prof.on_kernel(&record, dram_bytes, limited);
         }
-        if let Some(tel) = self.telemetry.lock().clone() {
-            tel.record_charge(self.id, name, phase.name(), ns, start_ns, stream);
+        if let Some(tel) = telemetry {
+            tel.record_charge(
+                self.id,
+                record.name,
+                record.phase.name(),
+                record.ns,
+                record.start_ns,
+                record.stream,
+            );
         }
     }
 
@@ -376,19 +398,7 @@ impl Device {
 
     /// Raise the device clock to `target_ns`, booking idle time.
     pub fn advance_to(&self, target_ns: f64) {
-        let gap = {
-            let mut ledger = self.ledger.lock();
-            let gap = target_ns - ledger.total_ns();
-            ledger.advance_to(target_ns);
-            gap
-        };
-        // Mirror the ledger's idle booking (same gap, same order) so
-        // the telemetry `Idle` phase reconciles bitwise.
-        if gap > 0.0 {
-            if let Some(tel) = self.telemetry.lock().clone() {
-                tel.record_idle(gap);
-            }
-        }
+        self.ledger.lock().advance_to(target_ns);
     }
 
     /// Snapshot of the ledger.
@@ -409,31 +419,28 @@ impl Device {
     /// sanitizer (its accumulated state is dropped). Passing
     /// [`SanitizeMode::Off`] is equivalent to [`Device::disable_sanitizer`].
     pub fn enable_sanitizer(&self, mode: SanitizeMode) {
-        let mut slot = self.sanitizer.lock();
-        if mode.enabled() {
-            *slot = Some(Arc::new(Sanitizer::new(mode, self.props.cost.warp_size)));
-        } else {
-            *slot = None;
-        }
+        self.observers.lock().sanitizer = mode
+            .enabled()
+            .then(|| Arc::new(Sanitizer::new(mode, self.props.cost.warp_size)));
     }
 
     /// Detach the sanitizer; subsequent kernels run unchecked (and
     /// unrecorded). Accumulated state is dropped.
     pub fn disable_sanitizer(&self) {
-        *self.sanitizer.lock() = None;
+        self.observers.lock().sanitizer = None;
     }
 
     /// The attached sanitizer, if any. Kernels call this once per launch;
     /// `None` (the default) must keep the hot path free of recording
     /// overhead.
     pub fn sanitizer(&self) -> Option<Arc<Sanitizer>> {
-        self.sanitizer.lock().clone()
+        self.observers.lock().sanitizer.clone()
     }
 
     /// Snapshot the sanitizer's accumulated report, or `None` when no
     /// sanitizer is attached.
     pub fn sanitize_report(&self) -> Option<SanitizeReport> {
-        self.sanitizer.lock().as_ref().map(|s| s.report())
+        self.observers.lock().sanitizer.as_ref().map(|s| s.report())
     }
 
     // ---- profiler ----------------------------------------------------------
@@ -443,18 +450,18 @@ impl Device {
     /// charged nanoseconds are bit-identical (regression-tested in
     /// `crates/core/tests/profiling.rs`).
     pub fn enable_profiler(&self) {
-        *self.profiler.lock() = Some(Arc::new(Profiler::default()));
+        self.observers.lock().profiler = Some(Arc::new(Profiler::default()));
     }
 
     /// Detach the profiler; accumulated state is dropped.
     pub fn disable_profiler(&self) {
-        *self.profiler.lock() = None;
+        self.observers.lock().profiler = None;
     }
 
     /// The attached profiler, if any. `None` (the default) keeps the
     /// charge hot path free of recording overhead.
     pub fn profiler(&self) -> Option<Arc<Profiler>> {
-        self.profiler.lock().clone()
+        self.observers.lock().profiler.clone()
     }
 
     /// Open a hierarchical profiling scope (`kind` is the aggregation
@@ -467,19 +474,14 @@ impl Device {
     /// Snapshot the schema-versioned profile summary, or `None` when no
     /// profiler is attached.
     pub fn profile_summary(&self) -> Option<ProfileSummary> {
-        self.profiler
-            .lock()
-            .as_ref()
-            .map(|p| p.summarize(&self.props.name, &self.ledger.lock().summary()))
+        self.profiler()
+            .map(|p| p.summarize(&self.props.name, &self.summary()))
     }
 
     /// Export the Chrome `chrome://tracing` JSON for this device, or
     /// `None` when no profiler is attached.
     pub fn chrome_trace(&self) -> Option<String> {
-        self.profiler
-            .lock()
-            .as_ref()
-            .map(|p| p.chrome_trace(self.id))
+        self.profiler().map(|p| p.chrome_trace(self.id))
     }
 
     // ---- telemetry ---------------------------------------------------------
@@ -491,7 +493,7 @@ impl Device {
     /// `crates/core/tests/telemetry.rs`).
     pub fn enable_telemetry(&self) -> Arc<Telemetry> {
         let tel = Arc::new(Telemetry::new());
-        *self.telemetry.lock() = Some(Arc::clone(&tel));
+        self.attach_telemetry(Arc::clone(&tel));
         tel
     }
 
@@ -499,19 +501,19 @@ impl Device {
     /// group) can share one, interleaving their flight-recorder events
     /// by recording order.
     pub fn attach_telemetry(&self, tel: Arc<Telemetry>) {
-        *self.telemetry.lock() = Some(tel);
+        self.observers.lock().telemetry = Some(tel);
     }
 
     /// Detach telemetry; accumulated state lives on in any clones of
     /// the returned `Arc`, but this device stops recording.
     pub fn disable_telemetry(&self) {
-        *self.telemetry.lock() = None;
+        self.observers.lock().telemetry = None;
     }
 
     /// The attached telemetry registry, if any. `None` (the default)
     /// keeps the charge hot path free of recording overhead.
     pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.telemetry.lock().clone()
+        self.observers.lock().telemetry.clone()
     }
 
     // ---- fault injection ---------------------------------------------------
@@ -522,18 +524,18 @@ impl Device {
     /// uninstrumented device (regression-tested in
     /// `crates/core/tests/chaos.rs`).
     pub fn enable_faults(&self, plan: FaultPlan) {
-        *self.fault.lock() = Some(Arc::new(FaultInjector::new(plan)));
+        self.observers.lock().fault = Some(Arc::new(FaultInjector::new(plan)));
     }
 
     /// Detach the fault injector; accumulated state (including a sticky
     /// device loss) is dropped.
     pub fn disable_faults(&self) {
-        *self.fault.lock() = None;
+        self.observers.lock().fault = None;
     }
 
     /// The attached fault injector, if any.
     pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.fault.lock().clone()
+        self.observers.lock().fault.clone()
     }
 
     /// Surface the oldest unreported fault — the simulator's
@@ -541,14 +543,11 @@ impl Device {
     /// attached or nothing fired; transient faults are cleared by the
     /// poll, device loss is sticky.
     pub fn poll_fault(&self) -> Result<(), GpuFault> {
-        let res = match self.fault.lock().clone() {
-            Some(inj) => inj.poll(),
-            None => Ok(()),
-        };
+        let res = self.fault_injector().map_or(Ok(()), |inj| inj.poll());
         if let Err(ref fault) = res {
             // Observer only: the poll result is already decided; the
             // flight recorder just remembers what surfaced.
-            if let Some(tel) = self.telemetry.lock().clone() {
+            if let Some(tel) = self.telemetry() {
                 tel.record_fault(self.id, &fault.to_string());
             }
         }
@@ -557,17 +556,13 @@ impl Device {
 
     /// Whether this device has been lost to a planned [`GpuFault`].
     pub fn is_lost(&self) -> bool {
-        self.fault
-            .lock()
-            .as_ref()
-            .map(|inj| inj.is_lost())
-            .unwrap_or(false)
+        self.fault_injector().is_some_and(|inj| inj.is_lost())
     }
 
     /// Snapshot the fault-injection counters, or `None` when no
     /// injector is attached.
     pub fn fault_report(&self) -> Option<FaultReport> {
-        self.fault.lock().as_ref().map(|inj| inj.report())
+        self.fault_injector().map(|inj| inj.report())
     }
 
     /// Apply any armed bit flips targeting the buffer labelled `label`.
@@ -578,7 +573,7 @@ impl Device {
         label: &str,
         buf: &mut GpuBuffer<T>,
     ) {
-        let Some(inj) = self.fault.lock().clone() else {
+        let Some(inj) = self.fault_injector() else {
             return;
         };
         if buf.is_empty() {
@@ -698,6 +693,34 @@ mod tests {
         dev.charge_ns("x", Phase::Other, 123.0);
         dev.reset();
         assert_eq!(dev.now_ns(), 0.0);
+    }
+
+    /// A negative raw charge is clamped by the ledger; the profiler's
+    /// per-kernel total and its trace duration must read the same
+    /// clamped value, because both come from the ledger's record.
+    #[test]
+    fn profiler_agrees_with_the_ledger_on_clamped_charges() {
+        let dev = Device::rtx4090();
+        dev.enable_profiler();
+        dev.charge_ns("x", Phase::Other, -5.0);
+        let ledger = dev.summary();
+        assert_eq!(ledger.negative_charges, 1);
+        assert_eq!(ledger.phase_ns(Phase::Other).to_bits(), 0.0f64.to_bits());
+        let profile = dev.profile_summary().expect("profiler attached");
+        assert_eq!(profile.kernels.len(), 1);
+        assert_eq!(profile.kernels[0].total_ns.to_bits(), 0.0f64.to_bits());
+        let trace: serde::Value =
+            serde_json::from_str(&dev.chrome_trace().expect("profiler attached")).unwrap();
+        let events = trace
+            .as_object()
+            .and_then(|o| o.iter().find(|(k, _)| k == "traceEvents"))
+            .and_then(|(_, v)| v.as_array())
+            .expect("traceEvents array");
+        let dur = events[0]
+            .as_object()
+            .and_then(|ev| ev.iter().find(|(k, _)| k == "dur"))
+            .map(|(_, v)| v.clone());
+        assert_eq!(dur, Some(serde::Value::Float(0.0)));
     }
 
     impl LedgerSummary {

@@ -23,6 +23,7 @@
 //! readable form consumed by the bench harness and CI diff gates.
 
 use crate::device::Phase;
+use crate::KernelRecord;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -110,27 +111,17 @@ impl Profiler {
         }
     }
 
-    /// Record one charged kernel. Called by the device *after* the
-    /// ledger charge; `start_ns` is the issuing stream's clock before
-    /// the charge and `stream` the stream it was issued on. `limited`
-    /// marks a launch dominated by serialized terms.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_kernel(
-        &self,
-        name: &'static str,
-        phase: Phase,
-        ns: f64,
-        start_ns: f64,
-        dram_bytes: f64,
-        limited: bool,
-        stream: usize,
-    ) {
+    /// Record one charged kernel: `rec` is the ledger's own record of
+    /// the charge (clamped duration, scheduled start, stream),
+    /// `dram_bytes` its modeled traffic and `limited` whether
+    /// serialized terms dominated it.
+    pub fn on_kernel(&self, rec: &KernelRecord, dram_bytes: f64, limited: bool) {
         let mut inner = self.inner.lock();
-        let stat = inner.kernels.entry((name, phase)).or_default();
+        let stat = inner.kernels.entry((rec.name, rec.phase)).or_default();
         stat.count += 1;
-        stat.total_ns += ns;
-        if ns > stat.max_ns {
-            stat.max_ns = ns;
+        stat.total_ns += rec.ns;
+        if rec.ns > stat.max_ns {
+            stat.max_ns = rec.ns;
         }
         stat.dram_bytes += dram_bytes;
         if limited {
@@ -141,11 +132,11 @@ impl Profiler {
             &mut inner,
             limit,
             TraceEvent {
-                name: name.to_string(),
-                cat: phase.name(),
-                start_ns,
-                dur_ns: ns,
-                stream: stream as u64,
+                name: rec.name.to_string(),
+                cat: rec.phase.name(),
+                start_ns: rec.start_ns,
+                dur_ns: rec.ns,
+                stream: rec.stream as u64,
             },
         );
     }
@@ -468,13 +459,29 @@ impl ProfileSummary {
 mod tests {
     use super::*;
 
+    fn rec(
+        name: &'static str,
+        phase: Phase,
+        ns: f64,
+        start_ns: f64,
+        stream: usize,
+    ) -> KernelRecord {
+        KernelRecord {
+            name,
+            phase,
+            ns,
+            start_ns,
+            stream,
+        }
+    }
+
     #[test]
     fn kernel_aggregates_accumulate() {
         let p = Profiler::default();
-        p.on_kernel("k", Phase::Histogram, 10.0, 0.0, 100.0, true, 0);
-        p.on_kernel("k", Phase::Histogram, 30.0, 10.0, 300.0, true, 0);
-        p.on_kernel("k", Phase::Histogram, 20.0, 40.0, 200.0, false, 0);
-        p.on_kernel("other", Phase::SplitEval, 5.0, 60.0, 0.0, false, 0);
+        p.on_kernel(&rec("k", Phase::Histogram, 10.0, 0.0, 0), 100.0, true);
+        p.on_kernel(&rec("k", Phase::Histogram, 30.0, 10.0, 0), 300.0, true);
+        p.on_kernel(&rec("k", Phase::Histogram, 20.0, 40.0, 0), 200.0, false);
+        p.on_kernel(&rec("other", Phase::SplitEval, 5.0, 60.0, 0), 0.0, false);
         let ledger = crate::LedgerSummary::default();
         let s = p.summarize("dev", &ledger);
         assert_eq!(s.kernels.len(), 2);
@@ -518,7 +525,7 @@ mod tests {
     fn event_limit_sheds_but_aggregates_stay_exact() {
         let p = Profiler::new(2);
         for i in 0..5 {
-            p.on_kernel("k", Phase::Other, 1.0, i as f64, 0.0, false, 0);
+            p.on_kernel(&rec("k", Phase::Other, 1.0, i as f64, 0), 0.0, false);
         }
         assert_eq!(p.dropped_events(), 3);
         let s = p.summarize("dev", &crate::LedgerSummary::default());
@@ -530,7 +537,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_and_scaled_to_micros() {
         let p = Profiler::default();
-        p.on_kernel("k", Phase::Histogram, 2000.0, 1000.0, 0.0, false, 0);
+        p.on_kernel(&rec("k", Phase::Histogram, 2000.0, 1000.0, 0), 0.0, false);
         let json = p.chrome_trace(3);
         let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
         let obj = v.as_object().expect("object envelope");
@@ -552,8 +559,8 @@ mod tests {
     #[test]
     fn chrome_trace_renders_streams_as_separate_tracks() {
         let p = Profiler::default();
-        p.on_kernel("a", Phase::Histogram, 10.0, 0.0, 0.0, false, 1);
-        p.on_kernel("b", Phase::Histogram, 10.0, 0.0, 0.0, false, 2);
+        p.on_kernel(&rec("a", Phase::Histogram, 10.0, 0.0, 1), 0.0, false);
+        p.on_kernel(&rec("b", Phase::Histogram, 10.0, 0.0, 2), 0.0, false);
         let json = p.chrome_trace(0);
         let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
         let events = v

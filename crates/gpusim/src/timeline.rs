@@ -72,7 +72,7 @@ impl Event {
 ///
 /// Serialize-only: `name` borrows `'static` kernel-name literals, which
 /// cannot be reconstructed from transient JSON input.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct KernelRecord {
     /// Human-readable kernel name, e.g. `hist_smem_packed`.
     pub name: &'static str,
@@ -179,6 +179,21 @@ impl Ledger {
         ns: f64,
         slots: u32,
     ) -> f64 {
+        self.book(stream, name, phase, ns, slots).start_ns
+    }
+
+    /// [`Ledger::charge_scheduled`], returning the charge's record
+    /// exactly as booked (clamped duration, scheduled start) whether or
+    /// not it is retained past the record limit. Device observers read
+    /// this record, so they cannot disagree with the ledger.
+    pub(crate) fn book(
+        &mut self,
+        stream: usize,
+        name: &'static str,
+        phase: Phase,
+        ns: f64,
+        slots: u32,
+    ) -> KernelRecord {
         let ns = if ns < 0.0 {
             self.negative_charges += 1;
             0.0
@@ -226,14 +241,15 @@ impl Ledger {
         // coincide exactly and the increment is 0.0.
         self.overlap_saved_ns += (prev_makespan + ns) - self.makespan;
 
+        let record = KernelRecord {
+            name,
+            phase,
+            ns,
+            start_ns: start,
+            stream,
+        };
         if self.records.len() < self.record_limit {
-            self.records.push(KernelRecord {
-                name,
-                phase,
-                ns,
-                start_ns: start,
-                stream,
-            });
+            self.records.push(record);
         } else {
             // Subtotals stay exact past the limit; count what we shed so
             // downstream consumers know the record list is partial.
@@ -241,7 +257,7 @@ impl Ledger {
         }
         *self.by_phase.entry(phase).or_insert(0.0) += ns;
         self.kernel_count += 1;
-        start
+        record
     }
 
     /// Fence the work issued to `stream` so far.

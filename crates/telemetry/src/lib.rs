@@ -24,11 +24,10 @@
 //! the contract is regression-tested in `crates/core/tests/telemetry.rs`.
 //!
 //! This crate deliberately does **not** depend on `gpusim`: the device
-//! layer depends on telemetry (to hold the observer slot), so phases and
-//! kernel names cross the boundary as plain strings. Per-phase
-//! nanosecond totals are accumulated with the same `max(0.0)` clamp and
-//! in the same call order as the ledger's own subtotals, so the two
-//! reconcile **bitwise** — `repro report` asserts exactly that.
+//! layer depends on telemetry (to hold the observer), so phases and
+//! kernel names cross the boundary as plain strings. Charge events copy
+//! the fields of the ledger's own record of each charge; per-phase
+//! nanosecond totals live only in the ledger (`LedgerSummary::by_phase`).
 
 #![warn(missing_docs)]
 
@@ -39,7 +38,10 @@ use std::collections::{BTreeMap, VecDeque};
 /// Version stamp of the JSON document emitted by [`Telemetry::to_json`].
 /// Bump when field names, ordering, or semantics change, and regenerate
 /// the golden fixture (`UPDATE_GOLDEN=1 cargo test -p telemetry`).
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
+///
+/// v2: the `phase_ns` section is gone; per-phase totals are read from
+/// the device ledger.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// Default per-device flight-recorder capacity (events retained).
 pub const DEFAULT_RING_LIMIT: usize = 256;
@@ -144,10 +146,6 @@ pub struct TelemetrySnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<String, HistSnapshot>,
-    /// Per-phase charged nanoseconds, accumulated in ledger call order
-    /// with the ledger's negative clamp — reconciles bitwise with
-    /// `LedgerSummary::by_phase`.
-    pub phase_ns: BTreeMap<String, f64>,
     /// Charges observed (all devices).
     pub charges_recorded: u64,
     /// Faults observed (all devices).
@@ -221,7 +219,6 @@ struct TelInner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, FixedHistogram>,
-    phase_ns: BTreeMap<String, f64>,
     rings: BTreeMap<usize, DeviceRing>,
     span_stacks: BTreeMap<usize, Vec<String>>,
     postmortems: Vec<Postmortem>,
@@ -287,10 +284,9 @@ impl Telemetry {
 
     // -- flight recorder -------------------------------------------------
 
-    /// Record a ledger charge: ring event plus the per-phase ns
-    /// accumulator. Called by the device *after* the ledger charged;
-    /// the `ns.max(0.0)` clamp mirrors the ledger's negative-duration
-    /// clamp so phase subtotals stay bitwise-reconcilable.
+    /// Record a ledger charge in the flight recorder. Called by the
+    /// device *after* the ledger booked it, with the booked record's
+    /// (already clamped) duration and start.
     pub fn record_charge(
         &self,
         device: usize,
@@ -300,9 +296,7 @@ impl Telemetry {
         start_ns: f64,
         stream: usize,
     ) {
-        let ns = ns.max(0.0);
         let mut inner = self.inner.lock();
-        *inner.phase_ns.entry(phase.to_string()).or_insert(0.0) += ns;
         inner.charges_recorded += 1;
         let seq = inner.next_seq;
         inner.next_seq += 1;
@@ -317,18 +311,6 @@ impl Telemetry {
             stream,
         };
         self.push_event(&mut inner, device, ev);
-    }
-
-    /// Mirror the ledger's idle booking: `advance_to` past the makespan
-    /// raises `Idle` by `+= gap` without a charge record, so the device
-    /// calls this with the same gap, in the same order, keeping the
-    /// `Idle` phase bitwise-reconcilable like every charged phase.
-    pub fn record_idle(&self, gap_ns: f64) {
-        if gap_ns <= 0.0 {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        *inner.phase_ns.entry("Idle".to_string()).or_insert(0.0) += gap_ns;
     }
 
     /// Record an injected-fault observation on `device`.
@@ -451,7 +433,6 @@ impl Telemetry {
                 .iter()
                 .map(|(k, h)| (k.clone(), h.snapshot()))
                 .collect(),
-            phase_ns: inner.phase_ns.clone(),
             charges_recorded: inner.charges_recorded,
             faults_recorded: inner.faults_recorded,
             spans_recorded: inner.spans_recorded,
@@ -537,11 +518,6 @@ impl Telemetry {
                 )
             })
             .collect();
-        let phase_ns = snap
-            .phase_ns
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::Float(*v)))
-            .collect();
         let recorder = inner
             .rings
             .iter()
@@ -578,7 +554,6 @@ impl Telemetry {
             ("counters".into(), Value::Object(counters)),
             ("gauges".into(), Value::Object(gauges)),
             ("histograms".into(), Value::Object(hists)),
-            ("phase_ns".into(), Value::Object(phase_ns)),
             (
                 "recorder".into(),
                 Value::Object(vec![
@@ -668,14 +643,6 @@ mod tests {
         assert!(prom.contains("serve_latency_ns_sum 104"));
         // Cumulative buckets end at the total count.
         assert!(prom.contains("serve_latency_ns_bucket{le=\"+Inf\"} 3"));
-    }
-
-    #[test]
-    fn phase_ns_clamps_negative_like_the_ledger() {
-        let tel = Telemetry::new();
-        tel.record_charge(0, "hist_build", "Histogram", 100.0, 0.0, 0);
-        tel.record_charge(0, "hist_build", "Histogram", -50.0, 100.0, 0);
-        assert_eq!(tel.snapshot().phase_ns["Histogram"], 100.0);
     }
 
     #[test]

@@ -75,7 +75,6 @@ fn telemetry_json_sections_are_stable() {
             "counters",
             "gauges",
             "histograms",
-            "phase_ns",
             "recorder",
             "flight_recorder",
             "postmortems",

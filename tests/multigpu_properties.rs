@@ -3,13 +3,17 @@
 //! model must be bit-equal to the single-device model (or the
 //! configuration rejected with a typed error), monotone constraints
 //! must hold at every placement, and simulated time must be positive
-//! and barrier-consistent across the group.
+//! and barrier-consistent across the group. Observers drawn onto every
+//! device of a placement must leave its trees and charge records
+//! bit-identical.
 
 use gbdt_mo::core::config::{GossConfig, OutputSketch};
 use gbdt_mo::core::{MultiGpuStrategy, MultiGpuTrainer};
 use gbdt_mo::data::DenseMatrix;
+use gbdt_mo::gpusim::{FaultPlan, SanitizeMode, Telemetry};
 use gbdt_mo::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn quick_config(trees: usize, depth: usize) -> TrainConfig {
     TrainConfig {
@@ -113,6 +117,44 @@ fn assert_monotone(model: &Model, ds: &Dataset, signs: &[i8], label: &str) {
     }
 }
 
+/// Which observers to attach: profiler, full sanitizer, one telemetry
+/// registry shared by the group, fault injector with an empty plan.
+type Observers = (bool, bool, bool, bool);
+
+fn attach(group: &DeviceGroup, (profiler, sanitizer, telemetry, faults): Observers) {
+    let shared = Arc::new(Telemetry::new());
+    for dev in group.devices() {
+        if profiler {
+            dev.enable_profiler();
+        }
+        if sanitizer {
+            dev.enable_sanitizer(SanitizeMode::Full);
+        }
+        if telemetry {
+            dev.attach_telemetry(Arc::clone(&shared));
+        }
+        if faults {
+            dev.enable_faults(FaultPlan::default());
+        }
+    }
+}
+
+/// Every field of every retained charge record, floats as bits.
+fn record_bits(dev: &Device) -> Vec<(&'static str, Phase, u64, u64, usize)> {
+    dev.records()
+        .iter()
+        .map(|r| {
+            (
+                r.name,
+                r.phase,
+                r.ns.to_bits(),
+                r.start_ns.to_bits(),
+                r.stream,
+            )
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -124,6 +166,7 @@ proptest! {
         k in 1usize..4,
         seed in 0u64..1000,
         space in config_space(),
+        observers in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
     ) {
         let ds = make_classification(&ClassificationSpec {
             instances: n,
@@ -174,6 +217,28 @@ proptest! {
                     prop_assert!((w[0] - w[1]).abs() < 1e-6, "clocks diverged: {:?}", clocks);
                 }
                 prop_assert!(clocks[0] > 0.0);
+
+                if observers == (false, false, false, false) {
+                    continue;
+                }
+                let observed = DeviceGroup::rtx4090s(k);
+                attach(&observed, observers);
+                let watched = MultiGpuTrainer::try_with_strategy(observed.clone(), cfg.clone(), strategy)
+                    .expect("accepted unobserved")
+                    .fit(&ds);
+                let label = format!("{label} observers={observers:?}");
+                prop_assert_eq!(&multi.trees, &watched.trees, "{}", label);
+                prop_assert_eq!(
+                    multi.predict(ds.features()),
+                    watched.predict(ds.features()),
+                    "{}", label
+                );
+                for (plain, seen) in group.devices().iter().zip(observed.devices()) {
+                    prop_assert!(
+                        record_bits(plain) == record_bits(seen),
+                        "device {} charge records differ: {}", plain.id, label
+                    );
+                }
             }
         }
     }
