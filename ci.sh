@@ -28,8 +28,8 @@ for threads in 1 4; do
   RAYON_NUM_THREADS=$threads cargo test -q -p gbdt-core --test fused_pass >/dev/null
 done
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check

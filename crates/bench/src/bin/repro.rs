@@ -1156,10 +1156,11 @@ fn chaos_cmd(opts: &Opts) -> bool {
 /// per histogram method × dataset, reporting *deterministic* simulated
 /// phase breakdowns + hist share + quality (and informational host
 /// wall-clock). With `--baseline F --check`, diff-gates the run against
-/// the committed baseline and returns `false` on drift.
+/// the committed baseline and returns `false` on drift or on a record
+/// whose model does not learn (`report::learns_floor`).
 fn bench_cmd(opts: &Opts) -> bool {
-    use gbdt_bench::metric_of;
     use gbdt_bench::report::{diff_gate, make_record, BenchReport, BenchSetup};
+    use gbdt_bench::{base_metric_of, metric_of};
 
     // Grid: smoke keeps a clf/multilabel/reg triple at reduced scale so
     // CI stays fast; the regular grid runs the Fig. 4 datasets plus Rf1
@@ -1170,7 +1171,7 @@ fn bench_cmd(opts: &Opts) -> bool {
             PaperDataset::NusWide,
             PaperDataset::Rf1,
         ];
-        (grid, opts.scale * 0.25, bench_config(3, 4, 32))
+        (grid, opts.scale * 0.5, bench_config(10, 4, 32))
     } else {
         let grid = vec![
             PaperDataset::Mnist,
@@ -1207,6 +1208,7 @@ fn bench_cmd(opts: &Opts) -> bool {
     let mut trace_pending = opts.trace.as_deref();
     for ds in datasets {
         let (train, test, name) = bench_dataset(ds, scale_mult, opts.seed);
+        let base_metric = base_metric_of(&train, &test);
         for method in methods {
             let device = Device::rtx4090();
             let tracing_this_run = trace_pending.is_some();
@@ -1238,6 +1240,7 @@ fn bench_cmd(opts: &Opts) -> bool {
                 r.host_seconds,
                 metric_name,
                 metric,
+                base_metric,
             );
             println!(
                 "{:<12} {:<10} {:<8} {:>10.4} {:>10.3} {:>8.1}% {:>12.4}",
@@ -1268,6 +1271,7 @@ fn bench_cmd(opts: &Opts) -> bool {
         // Distinct record identity: the main grid may carry the same
         // (dataset, method, sketch) triple at the reduced smoke scale.
         let name = format!("{name}@1x");
+        let base_metric = base_metric_of(&train, &test);
         let d = train.d();
         let k = (d / 4).max(1);
         let dense_dev = Device::rtx4090();
@@ -1286,6 +1290,7 @@ fn bench_cmd(opts: &Opts) -> bool {
             dense.host_seconds,
             dense_metric_name,
             dense_metric,
+            base_metric,
         );
         let dense_sim = dense_rec.sim_seconds;
         println!("== bench: sketch comparison ({name}, adaptive, d={d}, k={k}) ==");
@@ -1323,6 +1328,7 @@ fn bench_cmd(opts: &Opts) -> bool {
                 r.host_seconds,
                 metric_name,
                 metric,
+                base_metric,
             );
             let speedup = if dense_sim > 0.0 {
                 100.0 * (1.0 - rec.sim_seconds / dense_sim)

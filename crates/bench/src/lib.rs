@@ -21,6 +21,7 @@ use gbdt_baselines::{
     CpuMoTrainer, CpuStorage, GbdtSoTrainer, GrowthPolicy, SketchBoostTrainer, SketchStrategy,
 };
 use gbdt_core::loss::loss_for_task;
+use gbdt_core::trainer::base_scores;
 use gbdt_core::{accuracy, rmse, GpuTrainer, HistogramMethod, MultiGpuTrainer, TrainConfig};
 use gbdt_data::{Dataset, DenseMatrix, PaperDataset, Task};
 use gpusim::{Device, DeviceGroup, DeviceProps, LedgerSummary};
@@ -152,6 +153,14 @@ pub fn metric_of(task: Task, raw_scores: &[f32], test: &Dataset) -> (&'static st
             ("rmse", rmse(&probs, test.targets()))
         }
     }
+}
+
+/// [`metric_of`] for the base-score predictor: every row of `test`
+/// scored with the trainer's initial scores for `train`.
+pub fn base_metric_of(train: &Dataset, test: &Dataset) -> f64 {
+    let base = base_scores(train);
+    let raw: Vec<f32> = (0..test.n()).flat_map(|_| base.iter().copied()).collect();
+    metric_of(train.task(), &raw, test).1
 }
 
 /// Train `system` on `train`, evaluate on `test`.

@@ -15,7 +15,10 @@
 //!   and blessed into the baseline);
 //! * quality regression beyond tolerance → fail (`accuracy%` drops more
 //!   than [`ACCURACY_ABS_TOL`] points, or `rmse` grows more than
-//!   [`RMSE_REL_TOL`] relative) — quality improvements pass.
+//!   [`RMSE_REL_TOL`] relative) — quality improvements pass;
+//! * a current record that does not learn → fail: its held-out error
+//!   must be at most [`LEARNS_FLOOR`] × the base-score predictor's
+//!   error on the same rows ([`learns_floor`]).
 
 use gbdt_core::HistogramMethod;
 use gpusim::{LedgerSummary, Phase};
@@ -34,7 +37,9 @@ use std::collections::BTreeMap;
 /// `negative_charges` — surfaced by [`health_notes`], never gated (a
 /// shed record keeps subtotals exact; a clamped negative charge is a
 /// cost-model bug to investigate, not a perf regression).
-pub const BENCH_SCHEMA_VERSION: u32 = 5;
+/// v6: records gained `base_metric`, the base-score predictor's metric
+/// on the same held-out rows, which [`learns_floor`] gates against.
+pub const BENCH_SCHEMA_VERSION: u32 = 6;
 
 /// Maximum tolerated relative drift of the histogram share before the
 /// diff gate fails (the issue's >10 % criterion).
@@ -45,6 +50,10 @@ pub const ACCURACY_ABS_TOL: f64 = 1.0;
 
 /// Maximum tolerated relative growth of `rmse`.
 pub const RMSE_REL_TOL: f64 = 0.05;
+
+/// A model must cut the base-score predictor's held-out error to at
+/// most this share of it (perfbench's `test_error` check).
+pub const LEARNS_FLOOR: f64 = 0.9;
 
 /// Stable JSON key for a phase. The match is exhaustive on purpose —
 /// adding a `Phase` variant must not compile until the bench schema
@@ -113,6 +122,9 @@ pub struct BenchRecord {
     pub metric_name: String,
     /// Metric value on the held-out test split.
     pub metric: f64,
+    /// The same metric for the base-score predictor (every row scored
+    /// with the trainer's initial scores) on the same rows.
+    pub base_metric: f64,
     /// Simulated device seconds for the fit.
     pub sim_seconds: f64,
     /// Host wall-clock seconds the simulation took. Informational
@@ -194,7 +206,8 @@ impl BenchReport {
     }
 }
 
-/// Build one record from a fit's ledger delta and test metric.
+/// Build one record from a fit's ledger delta, its test metric and the
+/// base-score predictor's metric on the same rows.
 #[allow(clippy::too_many_arguments)]
 pub fn make_record(
     dataset: &str,
@@ -204,6 +217,7 @@ pub fn make_record(
     host_seconds: f64,
     metric_name: &str,
     metric: f64,
+    base_metric: f64,
 ) -> BenchRecord {
     let mut phase_ns = BTreeMap::new();
     for p in Phase::ALL {
@@ -218,6 +232,7 @@ pub fn make_record(
         sketch: sketch.to_string(),
         metric_name: metric_name.to_string(),
         metric,
+        base_metric,
         sim_seconds: sim.total_ns * 1e-9,
         host_seconds,
         hist_share: sim.fraction(Phase::Histogram),
@@ -274,9 +289,45 @@ pub fn overlap_notes(current: &BenchReport, baseline: &BenchReport) -> Vec<Strin
     notes
 }
 
+/// Held-out error of a metric value: `100 − accuracy%`, or the RMSE.
+fn error_of(metric_name: &str, value: f64) -> Option<f64> {
+    match metric_name {
+        "accuracy%" => Some(100.0 - value),
+        "rmse" => Some(value),
+        _ => None,
+    }
+}
+
+/// The "learns" floor: one failure per record whose held-out error is
+/// above [`LEARNS_FLOOR`] × the base-score predictor's error.
+pub fn learns_floor(current: &BenchReport) -> Vec<String> {
+    let mut fails = Vec::new();
+    for r in &current.records {
+        let id = format!("{}/{}/{}", r.dataset, r.hist_method, r.sketch);
+        let (Some(err), Some(base)) = (
+            error_of(&r.metric_name, r.metric),
+            error_of(&r.metric_name, r.base_metric),
+        ) else {
+            fails.push(format!(
+                "{id}: unknown metric `{}` has no floor",
+                r.metric_name
+            ));
+            continue;
+        };
+        if err > LEARNS_FLOOR * base {
+            fails.push(format!(
+                "{id}: does not learn: held-out error {err:.4} is {:.3}x the base predictor's {base:.4} (floor {LEARNS_FLOOR}x)",
+                err / base
+            ));
+        }
+    }
+    fails
+}
+
 /// Compare `current` against `baseline`; returns a list of human-
 /// readable failures (empty ⇒ gate passes). Gates only deterministic
-/// quantities: hist-share drift and model quality.
+/// quantities: hist-share drift and model quality, plus the
+/// [`learns_floor`] of every current record.
 pub fn diff_gate(current: &BenchReport, baseline: &BenchReport) -> Vec<String> {
     let mut fails = Vec::new();
     if current.schema_version != baseline.schema_version {
@@ -335,6 +386,7 @@ pub fn diff_gate(current: &BenchReport, baseline: &BenchReport) -> Vec<String> {
             ));
         }
     }
+    fails.extend(learns_floor(current));
     fails
 }
 
@@ -366,6 +418,13 @@ mod tests {
             sketch: "none".to_string(),
             metric_name: metric_name.to_string(),
             metric,
+            // A base predictor far worse than every metric these tests
+            // use, so only the floor test trips the learns floor.
+            base_metric: if metric_name == "accuracy%" {
+                0.0
+            } else {
+                10.0
+            },
             sim_seconds: 1e-3,
             host_seconds: 0.5,
             hist_share: share,
@@ -492,12 +551,38 @@ mod tests {
     }
 
     #[test]
+    fn learns_floor_fires_on_records_near_the_base_predictor() {
+        let mut learns = rec("mnist", "gmem", "accuracy%", 60.0, 0.7);
+        learns.base_metric = 10.0; // error 40 vs 90: 0.44x
+        let mut barely = rec("rf1", "gmem", "rmse", 0.9, 0.7);
+        barely.base_metric = 1.0; // exactly at the floor
+        let r = report(vec![learns, barely]);
+        assert!(learns_floor(&r).is_empty());
+        assert!(diff_gate(&r, &r).is_empty());
+
+        let mut chance = rec("mnist", "gmem", "accuracy%", 13.3, 0.7);
+        chance.base_metric = 10.0; // error 86.7 vs 90: 0.963x
+        let mut flat = rec("rf1", "gmem", "rmse", 0.975, 0.7);
+        flat.base_metric = 1.0;
+        let r = report(vec![chance, flat]);
+        let fails = learns_floor(&r);
+        assert_eq!(fails.len(), 2, "{fails:?}");
+        assert!(
+            fails.iter().all(|f| f.contains("does not learn")),
+            "{fails:?}"
+        );
+        // The floor gates `--check` even against an identical baseline.
+        assert_eq!(diff_gate(&r, &r), fails);
+    }
+
+    #[test]
     fn make_record_fills_every_phase_key() {
-        let mut sim = LedgerSummary::default();
-        sim.total_ns = 100.0;
-        sim.by_phase.insert(Phase::Histogram, 80.0);
-        sim.by_phase.insert(Phase::SplitEval, 20.0);
-        sim.kernel_count = 7;
+        let sim = LedgerSummary {
+            total_ns: 100.0,
+            by_phase: [(Phase::Histogram, 80.0), (Phase::SplitEval, 20.0)].into(),
+            kernel_count: 7,
+            ..Default::default()
+        };
         let r = make_record(
             "mnist",
             HistogramMethod::Adaptive,
@@ -506,6 +591,7 @@ mod tests {
             0.1,
             "accuracy%",
             91.0,
+            40.0,
         );
         assert_eq!(r.hist_method, "adaptive");
         assert_eq!(r.sketch, "top4");
@@ -518,9 +604,11 @@ mod tests {
 
     #[test]
     fn make_record_carries_overlap_savings() {
-        let mut sim = LedgerSummary::default();
-        sim.total_ns = 100.0;
-        sim.overlap_saved_ns = 37.5;
+        let sim = LedgerSummary {
+            total_ns: 100.0,
+            overlap_saved_ns: 37.5,
+            ..Default::default()
+        };
         let r = make_record(
             "mnist",
             HistogramMethod::Adaptive,
@@ -529,6 +617,7 @@ mod tests {
             0.1,
             "accuracy%",
             91.0,
+            40.0,
         );
         assert_eq!(r.overlap_saved_ns, 37.5);
     }

@@ -32,6 +32,7 @@ fn golden_report() -> BenchReport {
         0.125,
         "accuracy%",
         91.25,
+        11.5,
     );
 
     device.reset();
@@ -47,6 +48,7 @@ fn golden_report() -> BenchReport {
         0.5,
         "rmse",
         1.75,
+        2.5,
     );
 
     BenchReport {
@@ -85,14 +87,15 @@ fn bench_json_matches_golden_fixture() {
     );
 }
 
-/// The serialized field names are pinned to schema version 5 (v4 added
+/// The serialized field names are pinned to schema version 6 (v4 added
 /// `overlap_saved_ns` to records and `streams` to the setup for the
 /// multi-stream timeline; v5 added the `dropped_records` /
-/// `negative_charges` ledger health counters to records).
+/// `negative_charges` ledger health counters to records; v6 added
+/// `base_metric`, which the learns floor gates against).
 #[test]
 fn bench_schema_field_names_are_pinned_to_version() {
     assert_eq!(
-        BENCH_SCHEMA_VERSION, 5,
+        BENCH_SCHEMA_VERSION, 6,
         "schema version changed: update the pinned field lists below"
     );
     let v = golden_report().to_value();
@@ -131,6 +134,7 @@ fn bench_schema_field_names_are_pinned_to_version() {
             "sketch",
             "metric_name",
             "metric",
+            "base_metric",
             "sim_seconds",
             "host_seconds",
             "hist_share",
@@ -167,7 +171,7 @@ fn from_json_rejects_schema_violations() {
     assert!(BenchReport::from_json(&good).is_ok());
 
     // Version bump without a reader upgrade is rejected.
-    let bumped = good.replace("\"schema_version\":5", "\"schema_version\":6");
+    let bumped = good.replace("\"schema_version\":6", "\"schema_version\":7");
     let err = BenchReport::from_json(&bumped).expect_err("must reject");
     assert!(err.contains("schema_version"), "{err}");
 

@@ -6,8 +6,7 @@
 //! [`Placement`] decides only what differs between layouts:
 //!
 //! * **Single** — one device charges everything; a level's fresh
-//!   histogram builds spread over worker streams and its split search
-//!   is one batched segmented reduction (§3.1.3).
+//!   histogram builds spread over worker streams.
 //! * **Feature-parallel** (the paper's §3.4.2 design) — feature columns
 //!   are partitioned across devices ([`partition_features`]): each
 //!   device histograms and searches only its own columns, the devices
@@ -20,6 +19,10 @@
 //!   sums the partial multi-output histograms (the communication
 //!   blow-up that motivates the feature-parallel choice for large `d`).
 //!   Per-row work is mirrored at shard size.
+//!
+//! On every placement a level's split search is one batched segmented
+//! reduction per device (§3.1.3) and its partition one kernel per
+//! device; neither is charged per node.
 //!
 //! The functional computation — gradients, histograms, splits, trees —
 //! runs once on the host and is identical for every placement, so a
@@ -53,9 +56,7 @@ use crate::grad::Gradients;
 use crate::hist::{charge_method_on, resolve_method, HistContext, NodeHistogram};
 use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch};
-use crate::split::{
-    charge_node_search, pick_split, LevelSplitCharges, SplitCandidate, SplitParams,
-};
+use crate::split::{pick_split, LevelSplitCharges, SplitCandidate, SplitParams};
 use crate::trainer::TrainReport;
 use gbdt_data::Dataset;
 use gpusim::cost::KernelCost;
@@ -517,6 +518,11 @@ impl<'a> Placement<'a> {
         }
     }
 
+    /// Every device, the lead first.
+    fn devices(&self) -> impl Iterator<Item = &'a Device> {
+        std::iter::once(self.lead()).chain(self.replicas().iter().map(|dev| &**dev))
+    }
+
     /// Rows of an `rows`-row replicated pass one replica touches: all
     /// of them when gradients are replicated, a shard otherwise.
     fn mirror_rows(&self, rows: usize) -> usize {
@@ -644,11 +650,10 @@ impl<'a> Placement<'a> {
             streams: streams.max(1),
             fence: None,
             hist: None,
-            split: LevelSplitCharges::new(),
+            split: vec![LevelSplitCharges::new(); k],
             searched: 0,
             partition_elems: 0,
             reduce_bytes: 0,
-            built: vec![None; k],
             candidate_bytes: vec![0; k],
             flag_bytes: vec![0; k],
             flag_elems: vec![0; k],
@@ -730,9 +735,10 @@ impl HistCharges {
 /// The level grower's charges under one placement, for one tree. Each
 /// level runs [`LevelCharges::begin_level`], then per node (in
 /// node-index order) the build/split/route hooks, then
-/// [`LevelCharges::end_level`]: the single device flushes its batched
-/// split and partition kernels; a group runs its level collectives and
-/// joins.
+/// [`LevelCharges::end_level`]. Split search and partitioning only
+/// accumulate per node: every device flushes its batched split and
+/// partition kernels once per level (§3.1.3), then a group runs its
+/// level collectives and joins.
 pub(crate) struct LevelCharges<'p, 'a> {
     placement: &'p Placement<'a>,
     streams: usize,
@@ -742,16 +748,14 @@ pub(crate) struct LevelCharges<'p, 'a> {
     fence: Option<Event>,
     /// Single device: the level's fresh-build stream schedule.
     hist: Option<HistCharges>,
-    /// Single device: the level's batched split-search work.
-    split: LevelSplitCharges,
+    /// Each device's batched split-search work this level, lead first.
+    split: Vec<LevelSplitCharges>,
     /// Nodes whose split was searched this level.
     searched: usize,
     /// Instances partitioned this level.
     partition_elems: usize,
     /// Data-parallel: histogram bytes to all-reduce this level.
     reduce_bytes: usize,
-    /// Feature-parallel, streamed: each device's build of this node.
-    built: Vec<Option<Event>>,
     /// Feature-parallel: per-device candidate payload this level.
     candidate_bytes: Vec<usize>,
     /// Feature-parallel: per-device routing-bitmap payload this level.
@@ -828,10 +832,8 @@ impl LevelCharges<'_, '_> {
                 tally(m);
             }
             Placement::FeatureParallel { devices, ranges } => {
-                // Each device builds its own columns; it fences only its
-                // own build (the cross-device join is the candidate
-                // all-gather).
-                for (rank, (dev, &range)) in devices.iter().zip(ranges).enumerate() {
+                // Each device builds its own columns.
+                for (dev, &range) in devices.iter().zip(ranges) {
                     let (lo, hi) = local_range(ctx.features, range);
                     if lo == hi {
                         continue;
@@ -844,9 +846,6 @@ impl LevelCharges<'_, '_> {
                     let m = resolve_method(&dctx, idx.len());
                     charge_method_on(&dctx, idx, m, stream);
                     tally(m);
-                    if self.streamed() {
-                        self.built[rank] = Some(dev.record_event(HIST_STREAM));
-                    }
                 }
             }
             Placement::DataParallel { devices } => {
@@ -868,26 +867,17 @@ impl LevelCharges<'_, '_> {
                     charge_method_on(&dctx, part, m, stream);
                     tally(m);
                 }
-                if self.streamed() {
-                    // Split evaluation is replicated and consumes the
-                    // reduced histogram of every shard: join split work
-                    // on the slowest rank's fresh build.
-                    let built = builds_done(devices);
-                    for dev in devices.iter() {
-                        dev.wait_event(0, built);
-                    }
-                }
             }
         }
     }
 
     /// Best split of one node from its per-feature `bests` (as the
-    /// grower's one pass over `hist` returned them): over all features
-    /// in one batched search on a single device; per device over its
-    /// column range, then a strictly-greater-gain merge (exact ties
-    /// resolve to the lowest range, matching the global argmax) under
-    /// feature parallelism; a lead search with replicated charges under
-    /// data parallelism.
+    /// grower's one pass over `hist` returned them), booking the search
+    /// into each device's level batch: over all features on a single
+    /// device and on every data-parallel replica (each searches the
+    /// all-reduced histogram); per device over its column range, then a
+    /// strictly-greater-gain merge (exact ties resolve to the lowest
+    /// range, matching the global argmax) under feature parallelism.
     pub(crate) fn find_split(
         &mut self,
         hist: &NodeHistogram,
@@ -899,18 +889,11 @@ impl LevelCharges<'_, '_> {
         self.searched += 1;
         let (d, bins) = (hist.d, hist.bins);
         match self.placement {
-            Placement::Single(_) => {
-                self.split.add(features.len(), d, bins);
-                pick_split(hist, features, 0, bests, count, params)
-            }
-            Placement::FeatureParallel { devices, ranges } => {
+            Placement::FeatureParallel { ranges, .. } => {
                 let mut best: Option<SplitCandidate> = None;
-                for (rank, (dev, &range)) in devices.iter().zip(ranges).enumerate() {
-                    if let Some(built) = self.built[rank].take() {
-                        dev.wait_event(0, built);
-                    }
+                for (rank, &range) in ranges.iter().enumerate() {
                     let (lo, hi) = local_range(features, range);
-                    charge_node_search(dev, hi - lo, d, bins, params.segments_c);
+                    self.split[rank].add(hi - lo, d, bins);
                     let local = pick_split(hist, features, lo, &bests[lo..hi], count, params);
                     self.candidate_bytes[rank] +=
                         16 + local.as_ref().map_or(0, |c| c.left_g.len() * 16);
@@ -922,22 +905,13 @@ impl LevelCharges<'_, '_> {
                 }
                 best
             }
-            Placement::DataParallel { devices } => {
-                // After the all-reduce every device holds the full
-                // histogram and finds the identical best split.
-                charge_node_search(&devices[0], features.len(), d, bins, params.segments_c);
-                let split = pick_split(hist, features, 0, bests, count, params);
-                let cells = features.len() * d * bins;
-                for dev in &devices[1..] {
-                    // lint:allow(sanitize): replica of the lead's split search, whose batched kernels trace_split_level replays
-                    dev.charge_kernel(
-                        "split_eval_replicated",
-                        Phase::SplitEval,
-                        &KernelCost::streaming(cells as f64 * 10.0, (cells * 16) as f64),
-                    );
-                }
+            Placement::Single(_) | Placement::DataParallel { .. } => {
+                // Only data parallelism all-reduces `reduce_bytes`.
                 self.reduce_bytes += hist.g.len() * 2 * 8;
-                split
+                for split in &mut self.split {
+                    split.add(features.len(), d, bins);
+                }
+                pick_split(hist, features, 0, bests, count, params)
             }
         }
     }
@@ -945,11 +919,8 @@ impl LevelCharges<'_, '_> {
     /// Route one split node's instances by `flags` (`true` → left).
     pub(crate) fn route(&mut self, split: &SplitCandidate, flags: &[bool]) {
         let n = flags.len();
-        match self.placement {
-            Placement::Single(device) => {
-                self.partition_elems += n;
-                crate::sanitize::trace_partition(device, flags);
-            }
+        self.partition_elems += n;
+        let device = match self.placement {
             Placement::FeatureParallel { devices, ranges } => {
                 // The owning device computes the routing flags; the
                 // level's bitmaps are exchanged in one all-gather and
@@ -960,44 +931,50 @@ impl LevelCharges<'_, '_> {
                     .expect("split feature must belong to a device");
                 self.flag_elems[owner] += n;
                 self.flag_bytes[owner] += n.div_ceil(8);
-                self.partition_elems += n;
-                crate::sanitize::trace_partition(&devices[owner], flags);
+                &devices[owner]
             }
-            Placement::DataParallel { devices } => {
-                crate::sanitize::trace_partition(&devices[0], flags);
-                let per_shard = n / devices.len();
-                for dev in devices.iter() {
-                    dev.charge_kernel(
-                        "partition_shard",
-                        Phase::Partition,
-                        &KernelCost {
-                            flops: 3.0 * per_shard as f64,
-                            dram_bytes: (per_shard * 17) as f64,
-                            launches: 2.0,
-                            ..Default::default()
-                        },
-                    );
-                }
-            }
-        }
+            _ => self.placement.lead(),
+        };
+        crate::sanitize::trace_partition(device, flags);
     }
 
-    /// Level end: the single device flushes its batched kernels; a
-    /// group runs the level's collectives and joins (a barrier, or
-    /// with streams a clock alignment that lets the collective's tail
-    /// overlap the next level's builds).
+    /// Level end, one sequence for every placement: join the level's
+    /// fresh builds, flush each device's batched split kernels, then
+    /// partition. A group runs the level's collectives and joins (a
+    /// barrier, or with streams a clock alignment that lets the
+    /// collective's tail overlap the next level's builds).
     pub(crate) fn end_level(&mut self, segments_c: f64) {
-        let mut partial: Option<Event> = None;
-        let devices = match self.placement {
+        match self.placement {
             Placement::Single(device) => {
                 if let Some(mut hist) = self.hist.take() {
                     hist.flush(device);
                 }
-                self.split
-                    .flush(device, device.model().params.sm_count, segments_c);
+            }
+            // Each device joins only its own builds: the cross-device
+            // join is the candidate all-gather.
+            Placement::FeatureParallel { devices, .. } if self.streamed() => {
+                for dev in devices.iter() {
+                    dev.wait_event(0, dev.record_event(HIST_STREAM));
+                }
+            }
+            // Every replica searches the reduced histogram of every
+            // shard: join on the slowest rank's builds.
+            Placement::DataParallel { devices } if self.streamed() => {
+                let built = builds_done(devices);
+                for dev in devices.iter() {
+                    dev.wait_event(0, built);
+                }
+            }
+            _ => {}
+        }
+        for (dev, split) in self.placement.devices().zip(&mut self.split) {
+            split.flush(dev, dev.model().params.sm_count, segments_c);
+        }
+        let mut partial: Option<Event> = None;
+        let group = match self.placement {
+            Placement::Single(device) => {
                 charge_partition_level(device, self.partition_elems);
-                self.partition_elems = 0;
-                return;
+                None
             }
             Placement::FeatureParallel { devices, .. } => {
                 if self.searched > 0 && devices.len() > 1 {
@@ -1027,12 +1004,16 @@ impl LevelCharges<'_, '_> {
                         .all_gather(devices, &self.flag_bytes)
                         .map(|(done, ns)| first_chunk(done, ns));
                 }
-                devices
+                Some(devices)
             }
             Placement::DataParallel { devices } => {
-                // One ring all-reduce per node's histogram, batched as a
-                // single level-wide collective.
+                // Each device partitions its shard; one ring all-reduce
+                // per node's histogram, batched as a single level-wide
+                // collective.
                 let k = devices.len();
+                for dev in devices.iter() {
+                    charge_partition_level(dev, self.partition_elems / k);
+                }
                 if k > 1 && self.reduce_bytes > 0 {
                     let bytes = self.reduce_bytes as f64;
                     tel_collective_bytes(devices, bytes);
@@ -1050,14 +1031,16 @@ impl LevelCharges<'_, '_> {
                         }
                     }
                 }
-                devices
+                Some(devices)
             }
         };
-        if self.streamed() {
-            let align = align_stream0(devices);
-            self.fence = Some(partial.map_or(align, |p| align.max(p)));
-        } else {
-            DeviceGroup::from_devices(devices.to_vec()).barrier();
+        if let Some(devices) = group {
+            if self.streamed() {
+                let align = align_stream0(devices);
+                self.fence = Some(partial.map_or(align, |p| align.max(p)));
+            } else {
+                DeviceGroup::from_devices(devices.to_vec()).barrier();
+            }
         }
         self.searched = 0;
         self.partition_elems = 0;

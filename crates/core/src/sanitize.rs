@@ -623,7 +623,7 @@ mod tests {
             HistogramMethod::GlobalMemory,
         );
         trace_hist(&ctx, &idx, HistogramMethod::GlobalMemory);
-        trace_partition(&device, &vec![true; 150]);
+        trace_partition(&device, &[true; 150]);
         assert_eq!(device.now_ns(), before);
     }
 

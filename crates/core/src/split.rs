@@ -423,28 +423,11 @@ fn best_split_impl(
     pick_split(hist, features, f_lo, &bests, node_count, params)
 }
 
-/// Charge `device` for one node's own unbatched search over `mf`
-/// features of `d × bins` cells: the three split kernels, even for an
-/// empty range.
-pub(crate) fn charge_node_search(
-    device: &Device,
-    mf: usize,
-    d: usize,
-    bins: usize,
-    segments_c: f64,
-) {
-    let mut acc = LevelSplitCharges::new();
-    acc.add(mf, d, bins);
-    acc.flush(device, device.model().params.sm_count, segments_c);
-}
-
 /// Best split over the feature positions `f_lo..f_hi` of `features`
 /// (optionally under monotone constraints), charging `device` for this
 /// node's own unbatched scan/argmax kernels — even for an empty range.
-/// These are the charges a multi-GPU placement issues per node in the
-/// grower (feature-parallel devices each over their own column range,
-/// data-parallel on the lead over all columns), whose own search picks
-/// from the per-feature bests of its one pass per node instead.
+/// The grower never charges per node: every placement batches its
+/// search per level through [`LevelSplitCharges`].
 #[allow(clippy::too_many_arguments)]
 pub fn find_best_split_range(
     device: &Device,
@@ -469,7 +452,9 @@ pub fn find_best_split_range(
         params,
         constraints,
     );
-    charge_node_search(device, f_hi - f_lo, hist.d, hist.bins, params.segments_c);
+    let mut charges = LevelSplitCharges::new();
+    charges.add(f_hi - f_lo, hist.d, hist.bins);
+    charges.flush(device, device.model().params.sm_count, params.segments_c);
     out
 }
 
@@ -500,7 +485,6 @@ pub fn find_best_split(
 /// Best split whose kernel work is accumulated into `charges` instead of
 /// being charged immediately — call [`LevelSplitCharges::flush`] once
 /// per level (paper §3.1.3's batched segmented reduction).
-#[allow(clippy::too_many_arguments)]
 pub fn find_best_split_batched(
     charges: &mut LevelSplitCharges,
     hist: &NodeHistogram,
@@ -509,26 +493,6 @@ pub fn find_best_split_batched(
     node_h: &[f64],
     node_count: u32,
     params: &SplitParams,
-) -> Option<SplitCandidate> {
-    find_best_split_constrained(
-        charges, hist, features, node_g, node_h, node_count, params, None,
-    )
-}
-
-/// [`find_best_split_batched`] with optional monotone constraints: a
-/// candidate on a constrained feature is admissible only if its
-/// (bound-clamped) child leaf values respect the required ordering on
-/// every output.
-#[allow(clippy::too_many_arguments)]
-pub fn find_best_split_constrained(
-    charges: &mut LevelSplitCharges,
-    hist: &NodeHistogram,
-    features: &[u32],
-    node_g: &[f64],
-    node_h: &[f64],
-    node_count: u32,
-    params: &SplitParams,
-    constraints: Option<&ConstraintState<'_>>,
 ) -> Option<SplitCandidate> {
     charges.add(features.len(), hist.d, hist.bins);
     best_split_impl(
@@ -540,7 +504,7 @@ pub fn find_best_split_constrained(
         node_h,
         node_count,
         params,
-        constraints,
+        None,
     )
 }
 

@@ -114,6 +114,9 @@ impl Place {
 
 // ---- the two-pass reference grower ----------------------------------
 
+/// Each leaf's instances and values, as the trainer's score update takes them.
+type Leaves = Vec<(Vec<u32>, Vec<f32>)>;
+
 enum Source {
     Build,
     Derive { parent: usize, sibling: usize },
@@ -174,7 +177,7 @@ fn reference_grow(
     grads: &Gradients,
     cfg: &TrainConfig,
     ranges: &[(usize, usize)],
-) -> (Tree, Vec<(Vec<u32>, Vec<f32>)>) {
+) -> (Tree, Leaves) {
     let d = grads.d;
     let features: Vec<u32> = (0..M as u32).collect();
     let scratch = Device::rtx4090();
@@ -343,7 +346,7 @@ fn boost(
     ds: &Dataset,
     cfg: &TrainConfig,
     device: &Device,
-    mut grow: impl FnMut(&BinnedDataset, &Gradients) -> (Tree, Vec<(Vec<u32>, Vec<f32>)>),
+    mut grow: impl FnMut(&BinnedDataset, &Gradients) -> (Tree, Leaves),
 ) -> Vec<Tree> {
     let (n, d) = (ds.n(), ds.d());
     let binned = BinnedDataset::build(ds.features(), cfg.max_bins);

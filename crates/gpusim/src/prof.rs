@@ -582,9 +582,11 @@ mod tests {
 
     #[test]
     fn summary_phase_share() {
-        let mut ledger = crate::LedgerSummary::default();
-        ledger.total_ns = 100.0;
-        ledger.by_phase.insert(Phase::Histogram, 80.0);
+        let ledger = crate::LedgerSummary {
+            total_ns: 100.0,
+            by_phase: [(Phase::Histogram, 80.0)].into(),
+            ..Default::default()
+        };
         let p = Profiler::default();
         let s = p.summarize("dev", &ledger);
         assert!((s.phase_share("Histogram") - 0.8).abs() < 1e-12);

@@ -342,7 +342,7 @@ mod tests {
             for cap in [1usize, 2, 3, 64, 512] {
                 let s = WarpSampler::with_cap(total, cap);
                 assert!(s.sampled <= cap.max(1), "total={total} cap={cap}");
-                assert!(s.sampled <= total.max(0));
+                assert!(s.sampled <= total);
                 let idx: Vec<usize> = s.indices().collect();
                 assert_eq!(idx.len(), s.sampled);
                 assert!(idx.iter().all(|&i| i < total.max(1)));

@@ -80,7 +80,7 @@ pub struct SourceFile {
     pub scope_names: BTreeSet<String>,
 }
 
-fn ident_at<'a>(toks: &'a [Tok], i: usize) -> Option<&'a str> {
+fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
     toks.get(i).and_then(|t| t.ident())
 }
 
@@ -504,29 +504,26 @@ impl SourceFile {
                 continue;
             };
             match id {
-                "unwrap" => {
+                "unwrap"
                     if i > 0
                         && punct_at(toks, i - 1, '.')
                         && punct_at(toks, i + 1, '(')
-                        && punct_at(toks, i + 2, ')')
-                    {
-                        out.push(Finding::new(
-                            "unwrap_in_lib",
-                            &self.path,
-                            toks[i].line,
-                            "`.unwrap()` in library code; return a Result or use expect with an invariant message".to_string(),
-                        ));
-                    }
+                        && punct_at(toks, i + 2, ')') =>
+                {
+                    out.push(Finding::new(
+                        "unwrap_in_lib",
+                        &self.path,
+                        toks[i].line,
+                        "`.unwrap()` in library code; return a Result or use expect with an invariant message".to_string(),
+                    ));
                 }
-                "as_mut_slice" => {
-                    if !is_buffer_module {
-                        out.push(Finding::new(
-                            "raw_buffer_mut",
-                            &self.path,
-                            toks[i].line,
-                            "raw `as_mut_slice` outside gpusim/src/buffer.rs; device memory must be mutated through checked views".to_string(),
-                        ));
-                    }
+                "as_mut_slice" if !is_buffer_module => {
+                    out.push(Finding::new(
+                        "raw_buffer_mut",
+                        &self.path,
+                        toks[i].line,
+                        "raw `as_mut_slice` outside gpusim/src/buffer.rs; device memory must be mutated through checked views".to_string(),
+                    ));
                 }
                 "run_blocks" => {
                     if ident_at(toks, i.wrapping_sub(1)) == Some("fn") {
@@ -612,18 +609,20 @@ impl SourceFile {
                         }
                     }
                     TokKind::Punct(';') | TokKind::Punct(',') if depth == 0 => break,
-                    TokKind::Ident(m) if depth == 0 => {
-                        if REDUCE.contains(&m.as_str()) && call_paren(toks, j).is_some() {
-                            out.push(Finding::new(
-                                "unordered_float_reduce",
-                                &self.path,
-                                toks[j].line,
-                                format!(
-                                    "parallel `{id}` chain ends in `{m}`; unordered reduction makes float results depend on thread scheduling — reduce per-chunk sequentially, then combine in index order"
-                                ),
-                            ));
-                            break;
-                        }
+                    TokKind::Ident(m)
+                        if depth == 0
+                            && REDUCE.contains(&m.as_str())
+                            && call_paren(toks, j).is_some() =>
+                    {
+                        out.push(Finding::new(
+                            "unordered_float_reduce",
+                            &self.path,
+                            toks[j].line,
+                            format!(
+                                "parallel `{id}` chain ends in `{m}`; unordered reduction makes float results depend on thread scheduling — reduce per-chunk sequentially, then combine in index order"
+                            ),
+                        ));
+                        break;
                     }
                     _ => {}
                 }

@@ -2,10 +2,11 @@
 //! device counts, strategies and training configurations, the trained
 //! model must be bit-equal to the single-device model (or the
 //! configuration rejected with a typed error), monotone constraints
-//! must hold at every placement, and simulated time must be positive
-//! and barrier-consistent across the group. Observers drawn onto every
-//! device of a placement must leave its trees and charge records
-//! bit-identical.
+//! must hold at every placement, simulated time must be positive and
+//! barrier-consistent across the group, and every device must charge
+//! as many level-batched split searches and partitions as the single
+//! device. Observers drawn onto every device of a placement must leave
+//! its trees and charge records bit-identical.
 
 use gbdt_mo::core::config::{GossConfig, OutputSketch};
 use gbdt_mo::core::{MultiGpuStrategy, MultiGpuTrainer};
@@ -155,6 +156,11 @@ fn record_bits(dev: &Device) -> Vec<(&'static str, Phase, u64, u64, usize)> {
         .collect()
 }
 
+/// How many retained charge records carry kernel `name`.
+fn launches(dev: &Device, name: &str) -> usize {
+    dev.records().iter().filter(|r| r.name == name).count()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -182,14 +188,15 @@ proptest! {
                 (0..m).map(|f| [1i8, 0, -1][(seed as usize + f) % 3]).collect();
         }
         for cfg in [quick_config(2, 3), drawn] {
-            let single = match GpuTrainer::try_new(Device::rtx4090(), cfg.clone()) {
-                Ok(trainer) => trainer.fit(&ds),
+            let one = match GpuTrainer::try_new(Device::rtx4090(), cfg.clone()) {
+                Ok(trainer) => trainer,
                 Err(e) => {
                     // A configuration no placement accepts.
                     prop_assert!(!e.message().is_empty());
                     continue;
                 }
             };
+            let single = one.fit(&ds);
             assert_monotone(&single, &ds, &cfg.monotone_constraints, "single");
             for strategy in [MultiGpuStrategy::FeatureParallel, MultiGpuStrategy::DataParallel] {
                 let label = format!("k={k} {strategy:?} {cfg:?}");
@@ -217,6 +224,18 @@ proptest! {
                     prop_assert!((w[0] - w[1]).abs() < 1e-6, "clocks diverged: {:?}", clocks);
                 }
                 prop_assert!(clocks[0] > 0.0);
+                // Identical trees search and partition identical levels:
+                // every device batches one split search and one
+                // partition per level, as the single device does.
+                for dev in group.devices() {
+                    for kernel in ["split_scan_gain_level", "partition_level"] {
+                        prop_assert_eq!(
+                            launches(dev, kernel),
+                            launches(one.device(), kernel),
+                            "device {} {}: {}", dev.id, kernel, label
+                        );
+                    }
+                }
 
                 if observers == (false, false, false, false) {
                     continue;
